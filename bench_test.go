@@ -290,3 +290,27 @@ func BenchmarkExtFFTDF(b *testing.B) {
 		report(b, rep)
 	})
 }
+
+// BenchmarkUDPBarrier is the real binding's barrier layer benchmark: one
+// op is one barrier across a 4-node loopback UDP cluster, with allocs/op
+// summed over every node.
+func BenchmarkUDPBarrier(b *testing.B) {
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	run, err := cl.StartRun(filaments.UDPRunConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := run.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+		for i := 0; i < b.N; i++ {
+			e.Barrier()
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -119,14 +119,22 @@ func mergeNotices(a, b []int32) []int32 {
 	return out
 }
 
+// epochState is one node's state for one barrier epoch. States are
+// recycled through Reducer.free once their epoch completes, so a barrier
+// allocates none in steady state; every slice keeps its capacity across
+// reuse, and nothing outside the epoch retains a state (the loser's arrive
+// handle is canceled before the epoch completes, so its callback never
+// runs on a recycled state).
 type epochState struct {
-	vals     []float64 // child values plus own, folded at completion
-	arrived  map[kernel.NodeID]bool
+	epoch    int64
+	vals     []float64       // child values plus own, folded at completion
+	arrived  []kernel.NodeID // children merged so far (at most ⌈log2 p⌉ under Tournament)
 	own      bool
 	released bool
 	result   float64
 	waiter   kernel.Thread // local thread parked on this epoch
 	handle   kernel.Handle // outstanding arrive request, if a loser
+	onReply  func(any)     // the arrive request's callback, built once per state
 
 	// notices is the union of this node's own write notices and those of
 	// every merged child; rNotices is the cluster-wide union that arrived
@@ -134,10 +142,33 @@ type epochState struct {
 	notices  []int32
 	rNotices []int32
 
-	// Dissemination state: the value received for each round, keyed by
-	// round number, and the notices that rode with it (allocated lazily).
-	roundVal     map[int32]float64
-	roundNotices map[int32][]int32
+	// rounds holds the value received in each dissemination round, indexed
+	// by round, and the notices that rode with it (Dissemination only).
+	rounds []roundIn
+}
+
+// roundIn is what one dissemination round delivered.
+type roundIn struct {
+	has     bool
+	val     float64
+	notices []int32
+}
+
+// hasArrived reports whether child c's arrival was already merged.
+func (st *epochState) hasArrived(c kernel.NodeID) bool {
+	for _, a := range st.arrived {
+		if a == c {
+			return true
+		}
+	}
+	return false
+}
+
+// releasedEpoch is a completed epoch's outcome, kept for laggards.
+type releasedEpoch struct {
+	epoch   int64
+	result  float64
+	notices []int32
 }
 
 // Reducer is one node's reduction/barrier instance.
@@ -149,15 +180,19 @@ type Reducer struct {
 	n     int
 	Style Style
 
-	epoch  int64
-	op     Op
-	states map[int64]*epochState
-	// results retains recently released results so that a node lagging by
+	epoch int64
+	op    Op
+	// live holds the epochs with state, searched linearly: in practice the
+	// current epoch and at most the next (a child can run one epoch ahead
+	// of a parent that has not yet seen the release). free recycles states
+	// of completed epochs.
+	live []*epochState
+	free []*epochState
+	// hist retains recently released results and write-notice unions,
+	// indexed by epoch modulo resultHistory, so that a node lagging by
 	// several epochs (repeated losses) still gets the right value when its
-	// retransmitted arrive reaches us. noticesHist retains the released
-	// write-notice unions over the same window.
-	results     map[int64]float64
-	noticesHist map[int64][]int32
+	// retransmitted arrive reaches us.
+	hist [resultHistory]releasedEpoch
 
 	obs      *obs.Obs
 	barriers *obs.Counter
@@ -170,16 +205,13 @@ const resultHistory = 8
 func New(node kernel.Node, ep kernel.Transport, d *dsm.DSM, n int) *Reducer {
 	o := obs.Of(node)
 	r := &Reducer{
-		node:        node,
-		ep:          ep,
-		d:           d,
-		id:          int(node.ID()),
-		n:           n,
-		states:      make(map[int64]*epochState),
-		results:     make(map[int64]float64),
-		noticesHist: make(map[int64][]int32),
-		obs:         o,
-		barriers:    o.Counter("reduce.barriers"),
+		node:     node,
+		ep:       ep,
+		d:        d,
+		id:       int(node.ID()),
+		n:        n,
+		obs:      o,
+		barriers: o.Counter("reduce.barriers"),
 	}
 	ep.Register(SvcArrive, kernel.Service{
 		Name:       "reduce-arrive",
@@ -195,16 +227,71 @@ func New(node kernel.Node, ep kernel.Transport, d *dsm.DSM, n int) *Reducer {
 // counter is atomic, so the read is safe from any goroutine.
 func (r *Reducer) Count() int64 { return r.barriers.Load() }
 
+// state returns epoch e's state, taking a recycled one when e has none.
+//
+//dflint:hotpath
 func (r *Reducer) state(e int64) *epochState {
-	st, ok := r.states[e]
-	if !ok {
-		st = &epochState{
-			arrived:  make(map[kernel.NodeID]bool),
-			roundVal: make(map[int32]float64),
+	for _, st := range r.live {
+		if st.epoch == e {
+			return st
 		}
-		r.states[e] = st
 	}
+	var st *epochState
+	if n := len(r.free); n > 0 {
+		st = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		st = r.newEpochState()
+	}
+	st.epoch = e
+	r.live = append(r.live, st)
 	return st
+}
+
+// newEpochState makes a state when the free list is empty, which happens
+// only while the number of concurrently live epochs reaches a new high
+// (one or two); from then on state recycles.
+func (r *Reducer) newEpochState() *epochState {
+	//dflint:allow hotalloc made once per live-epoch high-water mark, then recycled
+	st := &epochState{}
+	//dflint:allow hotalloc the arrive callback is built once per recycled state, not per barrier
+	st.onReply = func(reply any) { r.arriveReplied(st, reply) }
+	return st
+}
+
+// retire drops a completed epoch's state and recycles it.
+func (r *Reducer) retire(st *epochState) {
+	for i, s := range r.live {
+		if s == st {
+			last := len(r.live) - 1
+			r.live[i] = r.live[last]
+			r.live[last] = nil
+			r.live = r.live[:last]
+			break
+		}
+	}
+	st.vals = st.vals[:0]
+	st.arrived = st.arrived[:0]
+	st.rounds = st.rounds[:0]
+	st.own, st.released, st.result = false, false, 0
+	st.waiter, st.handle = nil, nil
+	// The notice sets are not reused: the released union is retained in
+	// hist, and the others are shared with it or with sent messages.
+	st.notices, st.rNotices = nil, nil
+	r.free = append(r.free, st)
+}
+
+// history returns a completed epoch's result and notice union, or zero
+// values once the epoch has left the retained window.
+func (r *Reducer) history(e int64) (float64, []int32) {
+	if e < 0 {
+		return 0, nil
+	}
+	h := r.hist[e%resultHistory]
+	if h.epoch != e {
+		return 0, nil
+	}
+	return h.result, h.notices
 }
 
 // Barrier blocks t until every node has arrived at the same barrier.
@@ -257,11 +344,8 @@ func (r *Reducer) Reduce(t kernel.Thread, x float64, op Op) float64 {
 
 	result := st.result
 	acquired := st.rNotices
-	delete(r.states, e)
-	r.results[e] = result
-	delete(r.results, e-resultHistory)
-	r.noticesHist[e] = acquired
-	delete(r.noticesHist, e-resultHistory)
+	r.retire(st)
+	r.hist[e%resultHistory] = releasedEpoch{epoch: e, result: result, notices: acquired}
 	r.epoch++
 	r.barriers.Inc()
 	// Acquire-side duty: invalidate the copies the cluster-wide notice set
@@ -288,31 +372,28 @@ func (r *Reducer) monitor() dsm.Monitor {
 	return r.d.Space().Monitor()
 }
 
-// children returns this node's tournament children in arrival-round order
-// (node id receives from id+1, id+2, id+4, ... until the next set bit of
-// id or the cluster size cuts it off). Under the Central style node 0's
-// children are everyone.
-func (r *Reducer) children() []kernel.NodeID {
-	var cs []kernel.NodeID
+// childCount returns how many tournament children this node has: node
+// id receives from id+1, id+2, id+4, ... until the next set bit of id or
+// the cluster size cuts it off. Under the Central style node 0's children
+// are everyone.
+func (r *Reducer) childCount() int {
 	if r.Style == Central {
 		if r.id == 0 {
-			for i := 1; i < r.n; i++ {
-				cs = append(cs, kernel.NodeID(i))
-			}
+			return r.n - 1
 		}
-		return cs
+		return 0
 	}
+	c := 0
 	for bit := 1; ; bit <<= 1 {
 		if r.id != 0 && r.id&bit != 0 {
 			break // we lose at this round
 		}
-		c := r.id + bit
-		if c >= r.n {
+		if r.id+bit >= r.n {
 			break
 		}
-		cs = append(cs, kernel.NodeID(c))
+		c++
 	}
-	return cs
+	return c
 }
 
 // parent returns the node this one reports to when it loses.
@@ -326,7 +407,7 @@ func (r *Reducer) parent() kernel.NodeID {
 
 // championWait runs node 0's side: wait for all children, fold, broadcast.
 func (r *Reducer) championWait(t kernel.Thread, e int64, st *epochState) {
-	want := len(r.children())
+	want := r.childCount()
 	t0 := r.node.Now()
 	for len(st.arrived) < want {
 		st.waiter = t
@@ -354,7 +435,7 @@ func (r *Reducer) championWait(t kernel.Thread, e int64, st *epochState) {
 // loserPath runs a non-champion: collect children (if any), then send the
 // partial up and wait for the release.
 func (r *Reducer) loserPath(t kernel.Thread, e int64, st *epochState) {
-	want := len(r.children())
+	want := r.childCount()
 	t0 := r.node.Now()
 	for len(st.arrived) < want {
 		st.waiter = t
@@ -364,19 +445,7 @@ func (r *Reducer) loserPath(t kernel.Thread, e int64, st *epochState) {
 	partial := r.fold(st)
 	up := arriveMsg{Epoch: e, Value: partial, Has: true, Notices: st.notices}
 	st.handle = r.ep.RequestAsync(r.parent(), SvcArrive, up,
-		msgSize+noticeBytes(up.Notices), kernel.CatSync, func(reply any) {
-			// Direct reply: the parent (or champion) had already released.
-			if m, ok := reply.(releaseMsg); ok && !st.released {
-				st.released = true
-				st.result = m.Result
-				st.rNotices = mergeNotices(nil, m.Notices)
-			}
-			if st.waiter != nil {
-				w := st.waiter
-				st.waiter = nil
-				r.node.Ready(w, true)
-			}
-		})
+		msgSize+noticeBytes(up.Notices), kernel.CatSync, st.onReply)
 	for !st.released {
 		st.waiter = t
 		t.Block()
@@ -384,6 +453,21 @@ func (r *Reducer) loserPath(t kernel.Thread, e int64, st *epochState) {
 	}
 	st.handle.Cancel()
 	r.node.AddDelay(kernel.CatSyncDelay, r.node.Now().Sub(t0))
+}
+
+// arriveReplied is the loser's arrive callback: a direct reply means the
+// parent (or champion) had already released.
+func (r *Reducer) arriveReplied(st *epochState, reply any) {
+	if m, ok := reply.(releaseMsg); ok && !st.released {
+		st.released = true
+		st.result = m.Result
+		st.rNotices = mergeNotices(nil, m.Notices)
+	}
+	if st.waiter != nil {
+		w := st.waiter
+		st.waiter = nil
+		r.node.Ready(w, true)
+	}
 }
 
 // disseminate runs the butterfly: in round k, exchange partials with the
@@ -398,12 +482,11 @@ func (r *Reducer) disseminate(t kernel.Thread, e int64, st *epochState, x float6
 		r.ep.RequestAsync(dst, SvcArrive, out,
 			msgSize+noticeBytes(out.Notices), kernel.CatSync, func(any) {})
 		for {
-			v, ok := st.roundVal[k]
-			if ok {
-				partial = r.op(partial, v)
+			if int(k) < len(st.rounds) && st.rounds[k].has {
+				partial = r.op(partial, st.rounds[k].val)
 				// Set union is idempotent, so the butterfly's double
 				// counting is harmless for notices.
-				partialN = mergeNotices(partialN, st.roundNotices[k])
+				partialN = mergeNotices(partialN, st.rounds[k].notices)
 				break
 			}
 			st.waiter = t
@@ -433,19 +516,24 @@ func (r *Reducer) serveArrive(from kernel.NodeID, req any) (any, int, kernel.Ver
 	if m.Epoch < r.epoch {
 		// Old epoch: it completed globally (we have moved on), so the
 		// release exists; resend it from the retained history.
-		rel := releaseMsg{Epoch: m.Epoch, Result: r.results[m.Epoch], Notices: r.noticesHist[m.Epoch]}
+		result, notices := r.history(m.Epoch)
+		rel := releaseMsg{Epoch: m.Epoch, Result: result, Notices: notices}
 		return rel, msgSize + noticeBytes(rel.Notices), kernel.Reply
 	}
 	st := r.state(m.Epoch)
 	if r.Style == Dissemination && r.n&(r.n-1) == 0 && r.n > 1 {
-		// Record the round's value (duplicates ignored) and ack.
-		if _, dup := st.roundVal[m.Round]; !dup {
-			st.roundVal[m.Round] = m.Value
+		// Record the round's value (duplicates ignored) and ack. A round
+		// number no butterfly of 2^31 nodes could send is dropped unread.
+		if m.Round < 0 || m.Round > 30 {
+			return nil, 8, kernel.Reply
+		}
+		for len(st.rounds) <= int(m.Round) {
+			st.rounds = append(st.rounds, roundIn{})
+		}
+		if in := &st.rounds[m.Round]; !in.has {
+			in.has, in.val = true, m.Value
 			if len(m.Notices) > 0 {
-				if st.roundNotices == nil {
-					st.roundNotices = make(map[int32][]int32)
-				}
-				st.roundNotices[m.Round] = mergeNotices(nil, m.Notices)
+				in.notices = mergeNotices(nil, m.Notices)
 			}
 			r.node.Charge(kernel.CatSync, r.node.Model().BarrierMerge)
 			if st.waiter != nil {
@@ -460,8 +548,8 @@ func (r *Reducer) serveArrive(from kernel.NodeID, req any) (any, int, kernel.Ver
 		rel := releaseMsg{Epoch: m.Epoch, Result: st.result, Notices: st.rNotices}
 		return rel, msgSize + noticeBytes(rel.Notices), kernel.Reply
 	}
-	if !st.arrived[from] {
-		st.arrived[from] = true
+	if !st.hasArrived(from) {
+		st.arrived = append(st.arrived, from)
 		r.node.Charge(kernel.CatSync, r.node.Model().BarrierMerge)
 		st.vals = append(st.vals, m.Value)
 		st.notices = mergeNotices(st.notices, m.Notices)

@@ -274,6 +274,13 @@ func EncodeAny(e *Enc, v any) {
 		return
 	}
 	e.Uvarint(tagGob)
+	encodeGob(e, v)
+}
+
+// encodeGob appends v's gob blob. It stays out of EncodeAny because gob
+// takes v's address, which would move EncodeAny's parameter to the heap
+// on every call, binary encodes included.
+func encodeGob(e *Enc, v any) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		panic(fmt.Sprintf("rtnode: encode %T: %v", v, err))
@@ -296,6 +303,7 @@ func DecodeAny(d *Dec) any {
 			return nil
 		}
 		var v any
+		//dflint:allow hotalloc the tag-1 escape hatch serves only types without a binary codec, none of them on the message path
 		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
 			panic(fmt.Sprintf("rtnode: decode gob payload: %v", err))
 		}
@@ -316,10 +324,23 @@ func AppendPayload(dst []byte, v any) []byte {
 	if v == nil {
 		return dst
 	}
-	e := Enc{B: dst}
-	EncodeAny(&e, v)
-	return e.B
+	e := encPool.Get().(*Enc)
+	e.B = dst
+	EncodeAny(e, v)
+	out := e.B
+	e.B = nil
+	encPool.Put(e)
+	return out
 }
+
+// encPool and decPool recycle the codec state of AppendPayload and
+// UnmarshalPayload. The registered codecs are called through function
+// values, so escape analysis cannot keep a local Enc or Dec on the stack,
+// and every payload would allocate one.
+var (
+	encPool = sync.Pool{New: func() any { return new(Enc) }}
+	decPool = sync.Pool{New: func() any { return new(Dec) }}
+)
 
 // UnmarshalPayload decodes a binary-framed payload. It panics on
 // malformed input for the same reason the gob path always has: payloads
@@ -329,10 +350,14 @@ func UnmarshalPayload(b []byte) any {
 	if len(b) == 0 {
 		return nil
 	}
-	d := Dec{B: b}
-	v := DecodeAny(&d)
-	if d.Bad {
-		panic(fmt.Sprintf("rtnode: malformed binary payload (%d bytes, offset %d)", len(b), d.Off))
+	d := decPool.Get().(*Dec)
+	*d = Dec{B: b}
+	v := DecodeAny(d)
+	bad, off := d.Bad, d.Off
+	*d = Dec{}
+	decPool.Put(d)
+	if bad {
+		panic(fmt.Sprintf("rtnode: malformed binary payload (%d bytes, offset %d)", len(b), off))
 	}
 	return v
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"filaments/internal/kernel"
@@ -72,8 +73,8 @@ type Transport struct {
 	// the receiving EventMux can route it (mux.go).
 	lanePrefix []byte
 
-	peers []*net.UDPAddr           // indexed by NodeID
-	ids   map[string]kernel.NodeID // reverse: observed source address → id
+	peers []*net.UDPAddr                   // indexed by NodeID
+	ids   map[netip.AddrPort]kernel.NodeID // reverse: udptrans.AddrKey of a source → id
 	raw   []func(from kernel.NodeID, payload any) bool
 
 	svcs []uint16 // wire service ids registered on ep, for Detach
@@ -105,7 +106,7 @@ func NewTransportOn(mux *EventMux, node *Node, lane uint16) *Transport {
 		mux:        mux,
 		lane:       lane,
 		lanePrefix: binary.AppendUvarint(nil, uint64(lane)),
-		ids:        make(map[string]kernel.NodeID),
+		ids:        make(map[netip.AddrPort]kernel.NodeID),
 	}
 	mux.attach(lane, tr)
 	return tr
@@ -139,7 +140,7 @@ func (tr *Transport) SetCodec(c Codec) { tr.codec = c }
 func (tr *Transport) SetPeers(peers []*net.UDPAddr) {
 	tr.peers = peers
 	for i, p := range peers {
-		tr.ids[p.String()] = kernel.NodeID(i)
+		tr.ids[udptrans.AddrKey(p)] = kernel.NodeID(i)
 	}
 }
 
@@ -180,8 +181,13 @@ func (tr *Transport) wireSvc(id kernel.ServiceID) uint16 {
 	return uint16(id) + tr.lane*LaneStride
 }
 
+// idOf maps a datagram's source to the peer's node id. Keys are
+// normalized, so a peer installed from a resolved 16-byte IPv4 address
+// matches the 4-byte source the endpoint reports.
+//
+//dflint:hotpath
 func (tr *Transport) idOf(addr *net.UDPAddr) (kernel.NodeID, bool) {
-	id, ok := tr.ids[addr.String()]
+	id, ok := tr.ids[udptrans.AddrKey(addr)]
 	return id, ok
 }
 
@@ -205,6 +211,7 @@ func decodePayload(b []byte) any {
 		return nil
 	}
 	var v any
+	//dflint:allow hotalloc the -codec=gob fallback decodes by reflection; the default binary codec does not reach here
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
 		panic(fmt.Sprintf("rtnode: decode: %v", err))
 	}
@@ -222,20 +229,25 @@ var payloadPool = sync.Pool{
 }
 
 // marshal encodes v under the transport's codec. In binary mode the bytes
-// live in a pooled buffer and the caller must invoke release once the
-// bytes are no longer referenced (the udptrans send paths copy payloads
-// into frames synchronously, so release follows the send call). In gob
-// mode release is nil.
-func (tr *Transport) marshal(v any) (data []byte, release func()) {
+// live in a pooled buffer, returned as bp, which the caller hands to
+// putPayload once the bytes are no longer referenced (the udptrans send
+// paths copy payloads into frames synchronously, so that follows the send
+// call). bp is nil in gob mode and for a nil payload.
+func (tr *Transport) marshal(v any) (data []byte, bp *[]byte) {
 	if tr.codec == CodecGob {
 		return encodePayload(v), nil
 	}
 	if v == nil {
 		return nil, nil
 	}
-	bp := payloadPool.Get().(*[]byte)
+	bp = payloadPool.Get().(*[]byte)
 	*bp = AppendPayload((*bp)[:0], v)
-	return *bp, func() {
+	return *bp, bp
+}
+
+// putPayload recycles an encode buffer from marshal or marshalEvent.
+func putPayload(bp *[]byte) {
+	if bp != nil {
 		*bp = (*bp)[:0]
 		payloadPool.Put(bp)
 	}
@@ -312,17 +324,6 @@ func (tr *Transport) call(ctx context.Context, dst *net.UDPAddr, svc uint16, dat
 	return reply, true
 }
 
-// callBuffered is call without the reply copy: the reply aliases a pooled
-// buffer and the caller must invoke release (when non-nil) after the
-// reply has been consumed.
-func (tr *Transport) callBuffered(ctx context.Context, dst *net.UDPAddr, svc uint16, data []byte) ([]byte, func(), bool) {
-	reply, release, err := tr.ep.CallBuffered(ctx, dst, svc, data)
-	if err != nil {
-		return nil, nil, false
-	}
-	return reply, release, true
-}
-
 // Call issues a blocking request from thread t. The node monitor is
 // released while the call is in flight — the calling thread is blocked,
 // exactly as in the simulation, and other threads and handlers run.
@@ -330,14 +331,12 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
 	tr.outstanding++
-	data, release := tr.marshal(req)
+	data, bp := tr.marshal(req)
 	addr := tr.peers[dst]
 	wid := tr.wireSvc(svc)
 	n.mu.Unlock()
 	reply, ok := tr.call(context.Background(), addr, wid, data)
-	if release != nil {
-		release()
-	}
+	putPayload(bp)
 	n.mu.Lock()
 	tr.outstanding--
 	if !ok {
@@ -349,12 +348,15 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	return tr.unmarshal(reply)
 }
 
-// handle tracks one asynchronous request. Its fields are guarded by the
-// node monitor; Complete/Cancel/Done must be called in node context.
+// handle tracks one asynchronous request: the endpoint call it waits on
+// and the callback its reply completes. done is guarded by the node
+// monitor; Complete/Cancel/Done must be called in node context.
 type handle struct {
-	cb     func(any)
-	done   bool
-	cancel context.CancelFunc
+	tr   *Transport
+	id   udptrans.CallID
+	cat  kernel.Category
+	cb   func(any)
+	done bool
 }
 
 func (h *handle) Complete(reply any) {
@@ -362,62 +364,67 @@ func (h *handle) Complete(reply any) {
 		return
 	}
 	h.done = true
-	h.cancel()
+	h.tr.ep.Cancel(h.id)
 	h.cb(reply)
 }
 
+// Cancel stops the call's retransmission at once: the endpoint ends the
+// call, and its await goroutine wakes and exits without the callback.
 func (h *handle) Cancel() {
 	if h.done {
 		return
 	}
 	h.done = true
-	h.cancel()
+	h.tr.ep.Cancel(h.id)
 }
 
 func (h *handle) Done() bool { return h.done }
 
 // RequestAsync issues a reliable request serviced by a dedicated
 // goroutine; the callback runs in node context when the reply arrives.
+// The call is begun here, in node context, so a Cancel issued before the
+// goroutine runs still finds it.
 func (tr *Transport) RequestAsync(dst kernel.NodeID, svc kernel.ServiceID, req any, size int, cat kernel.Category, cb func(reply any)) kernel.Handle {
 	n := tr.node
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &handle{cb: cb, cancel: cancel}
 	n.acct[cat] += n.model.SendCost(size)
+	data, bp := tr.marshal(req)
+	id, err := tr.ep.Start(tr.peers[dst], tr.wireSvc(svc), data)
+	putPayload(bp) // Start framed a copy
+	h := &handle{tr: tr, id: id, cat: cat, cb: cb}
+	if err != nil {
+		h.done = true // endpoint closed mid-run: the request never completes
+		return h
+	}
 	tr.outstanding++
-	data, relReq := tr.marshal(req)
-	addr := tr.peers[dst]
-	wid := tr.wireSvc(svc)
 	tr.inflight.Add(1)
-	go func() {
-		defer tr.inflight.Done()
-		// The buffered call avoids copying the reply (a page, on the DSM
-		// path): the decoded payload aliases the pooled receive buffer,
-		// which is released only after the callback — run to completion
-		// under the node monitor — returns. Callbacks that retain payload
-		// bytes copy them (the kernel contract; DSM install does).
-		reply, relReply, ok := tr.callBuffered(ctx, addr, wid, data)
-		if relReq != nil {
-			relReq()
-		}
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		defer func() {
-			if relReply != nil {
-				relReply()
-			}
-		}()
-		tr.outstanding--
-		if h.done {
-			return // completed out of band or canceled
-		}
-		h.done = true
-		if !ok {
-			return // endpoint closed mid-run
-		}
-		n.acct[cat] += n.model.RecvCost(len(reply))
-		cb(tr.unmarshal(reply))
-	}()
+	go h.await()
 	return h
+}
+
+// await waits for h's reply and runs the callback in node context. The
+// buffered call avoids copying the reply (a page, on the DSM path): the
+// decoded payload aliases the pooled receive buffer, which is released
+// only after the callback — run to completion under the node monitor —
+// returns. Callbacks that retain payload bytes copy them (the kernel
+// contract; DSM install does).
+func (h *handle) await() {
+	tr := h.tr
+	defer tr.inflight.Done()
+	reply, buf, err := tr.ep.Await(context.Background(), h.id)
+	n := tr.node
+	n.mu.Lock()
+	tr.outstanding--
+	// A done handle was completed out of band or canceled; an error means
+	// the endpoint closed mid-run.
+	if !h.done {
+		h.done = true
+		if err == nil {
+			n.acct[h.cat] += n.model.RecvCost(len(reply))
+			h.cb(tr.unmarshal(reply))
+		}
+	}
+	n.mu.Unlock()
+	udptrans.Release(buf)
 }
 
 // RequestSized is RequestAsync; the expected reply size only stretches
@@ -428,20 +435,17 @@ func (tr *Transport) RequestSized(dst kernel.NodeID, svc kernel.ServiceID, req a
 
 // marshalEvent encodes an event payload behind the lane prefix, so the
 // receiving mux can route it. Unlike marshal, a nil payload still yields
-// bytes (the bare prefix — the remainder decodes back to nil). Release
-// semantics match marshal: nil in gob mode, pooled buffer otherwise.
-func (tr *Transport) marshalEvent(v any) (data []byte, release func()) {
+// bytes (the bare prefix — the remainder decodes back to nil). The buffer
+// contract matches marshal: bp is nil in gob mode, pooled otherwise.
+func (tr *Transport) marshalEvent(v any) (data []byte, bp *[]byte) {
 	if tr.codec == CodecGob {
 		body := encodePayload(v)
 		buf := make([]byte, 0, len(tr.lanePrefix)+len(body))
 		return append(append(buf, tr.lanePrefix...), body...), nil
 	}
-	bp := payloadPool.Get().(*[]byte)
+	bp = payloadPool.Get().(*[]byte)
 	*bp = AppendPayload(append((*bp)[:0], tr.lanePrefix...), v)
-	return *bp, func() {
-		*bp = (*bp)[:0]
-		payloadPool.Put(bp)
-	}
+	return *bp, bp
 }
 
 // Send transmits an unreliable one-way datagram; Broadcast fans out to
@@ -450,7 +454,7 @@ func (tr *Transport) marshalEvent(v any) (data []byte, release func()) {
 func (tr *Transport) Send(dst kernel.NodeID, payload any, size int, cat kernel.Category) {
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
-	data, release := tr.marshalEvent(payload)
+	data, bp := tr.marshalEvent(payload)
 	// SendEvent copies the payload into its frame (or batch) before
 	// returning, so the pooled encode buffer can be released right after.
 	if dst == kernel.Broadcast {
@@ -463,9 +467,7 @@ func (tr *Transport) Send(dst kernel.NodeID, payload any, size int, cat kernel.C
 	} else {
 		tr.ep.SendEvent(tr.peers[dst], data) //nolint:errcheck // unreliable by contract
 	}
-	if release != nil {
-		release()
-	}
+	putPayload(bp)
 }
 
 // HandleRaw appends a one-way datagram handler. Registration happens
@@ -476,6 +478,8 @@ func (tr *Transport) HandleRaw(h func(from kernel.NodeID, payload any) bool) {
 
 // handleEvent delivers a one-way datagram through the raw handler chain in
 // node context. It runs on the endpoint's worker pool.
+//
+//dflint:hotpath
 func (tr *Transport) handleEvent(from *net.UDPAddr, b []byte) {
 	src, known := tr.idOf(from)
 	if !known {

@@ -1,0 +1,7 @@
+//go:build race
+
+package udptrans
+
+// raceEnabled reports a -race build, whose sync.Pool randomly drops
+// entries, so allocation counts are not meaningful there.
+const raceEnabled = true

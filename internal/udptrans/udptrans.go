@@ -22,12 +22,26 @@
 // matches, so a stray or misdelivered datagram from a third node cannot
 // complete the wrong call.
 //
-// The wall-clock hot path is allocation-conscious: receive and frame
-// buffers come from a pool and are recycled once their payload has been
-// consumed, and decode no longer copies — a request's payload aliases the
-// receive buffer, which stays alive until the handler returns. Handlers
-// must therefore not retain req (or return a reply that aliases it and
-// expect the bytes to survive; the reply cache copies for that reason).
+// The message path is allocation-free in steady state, and
+// //dflint:hotpath marks on the read loop, dispatch, serve and reply
+// matching let dflint's hotalloc rule hold it there:
+//
+//   - Receive and frame buffers come from a pool and are recycled once
+//     their payload has been consumed. Decode does not copy: a request's
+//     payload aliases the receive buffer, which stays alive until the
+//     handler returns. Handlers must therefore not retain req (or return a
+//     reply that aliases it and expect the bytes to survive; the reply
+//     cache copies for that reason — the one deliberate per-request
+//     allocation, and only for non-idempotent services).
+//   - Peers are identified by netip.AddrPort, normalized with AddrKey so
+//     the 4-byte and the IPv4-mapped 16-byte form of an address are one
+//     key. The read loop interns source addresses in a bounded table and
+//     hands every handler the same *net.UDPAddr for a peer: from is shared
+//     and read-only, and a handler must not modify it.
+//   - Call records, with their reply channel and retransmission timer, are
+//     recycled through a per-endpoint free list, and Start/Await/Cancel
+//     let a caller cancel a call without a context.
+//
 // Small one-way events to the same peer can additionally be coalesced
 // into one datagram under a short flush window (Options.BatchWindow).
 //
@@ -47,6 +61,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,7 +92,9 @@ const NoRetry = -1
 // paper sizes server threads per node.
 //
 // req aliases a pooled receive buffer: it is valid only until the handler
-// returns. Handlers that retain request bytes must copy them.
+// returns. Handlers that retain request bytes must copy them. from is the
+// endpoint's interned address for the peer, shared by every datagram from
+// it: handlers may keep it but must not modify it.
 type Handler func(from *net.UDPAddr, req []byte) (reply []byte, drop bool)
 
 // Service couples a handler with its replay policy.
@@ -149,29 +166,59 @@ type Stats struct {
 	BytesRecved     int64 // datagram bytes read off the wire (incl. headers)
 }
 
-// replyMsg carries a matched reply from the read loop to the caller: the
-// payload plus the pooled receive buffer it aliases.
+// replyMsg is what the read loop (or Cancel, or Close) hands a waiting
+// call: a matched reply — the payload plus the pooled receive buffer it
+// aliases — or, with buf nil, the error that ended the call.
 type replyMsg struct {
 	payload []byte
 	buf     *[]byte
+	err     error
 }
 
+// pendingCall is one outstanding call. Records are recycled through the
+// endpoint's free list, so a call costs no allocation once the list is
+// warm. A record is registered in Endpoint.pending under its seq from
+// Start until a reply, Cancel or Close removes it — whoever removes it
+// also posts the one message the reply channel ever carries for that seq,
+// and does so under ep.mu. Await drains the channel under the same lock
+// before the record is reused, so a reply that raced a cancellation or a
+// timeout is recycled there and can never reach a later call.
 type pendingCall struct {
 	dst   *net.UDPAddr
+	dstAP netip.AddrPort // AddrKey(dst): the source a valid reply carries
 	svc   uint16
+	seq   uint32
+	frame *[]byte // the framed request, retransmitted as is
 	reply chan replyMsg
+	// timer paces retransmissions. It is created on first use and reused
+	// with Reset; every exit from Await leaves it stopped and drained.
+	timer *time.Timer
+}
+
+// CallID names a call begun with Start, for Await and Cancel.
+type CallID struct {
+	p   *pendingCall
+	seq uint32
+}
+
+// callKey identifies one request from one peer: the requester's
+// normalized address and its sequence number. It keys duplicate
+// coalescing and the reply cache.
+type callKey struct {
+	addr netip.AddrPort
+	seq  uint32
 }
 
 // inbound is a parsed request or event handed from the read loop to the
 // worker pool. payload aliases buf, the pooled receive buffer, which the
 // worker recycles after servicing.
 type inbound struct {
-	from    *net.UDPAddr
+	from    *net.UDPAddr // interned, shared, read-only
 	svc     uint16
 	seq     uint32
 	payload []byte
 	buf     *[]byte
-	key     string
+	key     callKey
 	event   bool
 	batch   bool // payload is a kindBatch body of length-prefixed events
 }
@@ -184,6 +231,46 @@ type peerBatch struct {
 	timer *time.Timer
 }
 
+// AddrKey normalizes a UDP address to the comparable form every peer
+// table in this package and its users is keyed by. The read loop sees an
+// IPv4 source in its 4-byte form, while net.ResolveUDPAddr yields the
+// 16-byte IPv4-mapped form of the same address; Unmap makes both one key.
+func AddrKey(a *net.UDPAddr) netip.AddrPort {
+	return unmapped(a.AddrPort())
+}
+
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// defaultPeerCap bounds the read loop's source-address intern table.
+const defaultPeerCap = 1024
+
+// peerTable interns datagram source addresses, so handlers receive one
+// shared *net.UDPAddr per peer instead of a fresh one per datagram. It is
+// owned by the read loop and needs no lock. At its cap an arbitrary entry
+// is evicted: handlers holding the evicted pointer keep a valid address,
+// and its peer is simply interned again on its next datagram.
+type peerTable struct {
+	m   map[netip.AddrPort]*net.UDPAddr
+	cap int
+}
+
+func (t *peerTable) intern(ap netip.AddrPort) *net.UDPAddr {
+	if a, ok := t.m[ap]; ok {
+		return a
+	}
+	if len(t.m) >= t.cap {
+		for k := range t.m {
+			delete(t.m, k)
+			break
+		}
+	}
+	a := net.UDPAddrFromAddrPort(ap)
+	t.m[ap] = a
+	return a
+}
+
 // Endpoint is one node's protocol instance on a UDP socket.
 type Endpoint struct {
 	conn *net.UDPConn
@@ -193,18 +280,22 @@ type Endpoint struct {
 	services  map[uint16]Service
 	evHandler func(from *net.UDPAddr, payload []byte)
 	pending   map[uint32]*pendingCall
+	free      []*pendingCall // recycled call records
 	seq       uint32
 	// replyCache replays replies of non-idempotent services, keyed by
-	// "addr|seq", bounded FIFO.
-	replyCache map[string][]byte
-	cacheFIFO  []string
+	// requester and seq, bounded FIFO.
+	replyCache map[callKey][]byte
+	cacheFIFO  []callKey
 	// inFlight marks requests accepted for servicing (queued or executing),
 	// keyed like replyCache; duplicates arriving meanwhile are coalesced.
-	inFlight map[string]struct{}
+	inFlight map[callKey]struct{}
 	// batches holds the per-peer event batches awaiting flush (BatchWindow
 	// mode only).
-	batches map[string]*peerBatch
+	batches map[netip.AddrPort]*peerBatch
 	closed  bool
+
+	// peers is the read loop's source-address intern table.
+	peers peerTable
 
 	// reg holds the endpoint's counters under the same names the sim
 	// transport registers on its node, so cluster aggregation lines the
@@ -260,6 +351,12 @@ func resolveOptions(opts Options) Options {
 
 // Listen opens an endpoint on addr (e.g. "127.0.0.1:0").
 func Listen(addr string, opts Options) (*Endpoint, error) {
+	return listen(addr, opts, defaultPeerCap)
+}
+
+// listen is Listen with the intern table's cap as a parameter (tests
+// lower it to exercise eviction).
+func listen(addr string, opts Options, peerCap int) (*Endpoint, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -275,9 +372,10 @@ func Listen(addr string, opts Options) (*Endpoint, error) {
 		opts:       opts,
 		services:   make(map[uint16]Service),
 		pending:    make(map[uint32]*pendingCall),
-		replyCache: make(map[string][]byte),
-		inFlight:   make(map[string]struct{}),
-		batches:    make(map[string]*peerBatch),
+		replyCache: make(map[callKey][]byte),
+		inFlight:   make(map[callKey]struct{}),
+		batches:    make(map[netip.AddrPort]*peerBatch),
+		peers:      peerTable{m: make(map[netip.AddrPort]*net.UDPAddr), cap: peerCap},
 		reg:        reg,
 		ctr: counters{
 			requestsSent:    reg.Counter("net.requests_sent"),
@@ -364,10 +462,10 @@ func (ep *Endpoint) Close() error {
 		return nil
 	}
 	ep.closed = true
-	for _, p := range ep.pending {
-		close(p.reply)
+	for seq, p := range ep.pending {
+		p.reply <- replyMsg{err: ErrClosed}
+		delete(ep.pending, seq)
 	}
-	ep.pending = make(map[uint32]*pendingCall)
 	var flush []*peerBatch
 	for _, b := range ep.batches {
 		if b.timer != nil {
@@ -465,7 +563,7 @@ func (ep *Endpoint) SendEvent(dst *net.UDPAddr, payload []byte) error {
 // batchEvent appends one event to dst's pending batch, flushing when the
 // batch nears the payload bound, and arms the flush-window timer.
 func (ep *Endpoint) batchEvent(dst *net.UDPAddr, payload []byte) error {
-	key := dst.String()
+	key := AddrKey(dst)
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -534,74 +632,166 @@ func (ep *Endpoint) Call(dst *net.UDPAddr, svc uint16, req []byte) ([]byte, erro
 // with ctx.Err() as soon as ctx is done, independent of the retry budget.
 // The returned reply is owned by the caller.
 func (ep *Endpoint) CallContext(ctx context.Context, dst *net.UDPAddr, svc uint16, req []byte) ([]byte, error) {
-	payload, release, err := ep.CallBuffered(ctx, dst, svc, req)
+	payload, buf, err := ep.CallBuffered(ctx, dst, svc, req)
 	if err != nil {
 		return nil, err
 	}
-	if release == nil {
-		return payload, nil
-	}
 	out := append([]byte(nil), payload...)
-	release()
+	Release(buf)
 	return out, nil
 }
 
 // CallBuffered is CallContext without the defensive copy: the reply
-// payload aliases a pooled receive buffer, and the caller must invoke
-// release (when non-nil) once the payload has been fully consumed. The
-// real-time transport uses it to decode replies with zero copies.
-func (ep *Endpoint) CallBuffered(ctx context.Context, dst *net.UDPAddr, svc uint16, req []byte) ([]byte, func(), error) {
-	if len(req) > MaxPayload {
-		return nil, nil, fmt.Errorf("udptrans: request of %d bytes exceeds MaxPayload", len(req))
+// payload aliases a pooled receive buffer, which the caller must pass to
+// Release once the payload has been fully consumed. The real-time
+// transport uses it to decode replies with zero copies.
+func (ep *Endpoint) CallBuffered(ctx context.Context, dst *net.UDPAddr, svc uint16, req []byte) ([]byte, *[]byte, error) {
+	id, err := ep.Start(dst, svc, req)
+	if err != nil {
+		return nil, nil, err
 	}
+	return ep.Await(ctx, id)
+}
+
+// Release recycles a receive buffer returned by CallBuffered or Await.
+// A nil buffer is ignored.
+func Release(buf *[]byte) { putBuf(buf) }
+
+// ErrCanceled is returned by Await for a call ended by Cancel.
+var ErrCanceled = errors.New("udptrans: call canceled")
+
+// Start begins a call: it frames req (so the caller may reuse req as soon
+// as Start returns) and registers the call, but sends nothing. Await then
+// transmits it and waits for the reply, and Cancel may end it from any
+// goroutine at any time. Every successful Start must be matched by exactly
+// one Await, which releases the call's resources.
+func (ep *Endpoint) Start(dst *net.UDPAddr, svc uint16, req []byte) (CallID, error) {
+	if len(req) > MaxPayload {
+		return CallID{}, fmt.Errorf("udptrans: request of %d bytes exceeds MaxPayload", len(req))
+	}
+	dstAP := AddrKey(dst)
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
-		return nil, nil, ErrClosed
+		return CallID{}, ErrClosed
 	}
 	ep.seq++
-	seq := ep.seq
-	p := &pendingCall{dst: dst, svc: svc, reply: make(chan replyMsg, 1)}
-	ep.pending[seq] = p
+	p := ep.newCall()
+	p.dst, p.dstAP, p.svc, p.seq = dst, dstAP, svc, ep.seq
+	ep.pending[p.seq] = p
 	ep.mu.Unlock()
+	p.frame = getBuf()
+	*p.frame = appendFrame((*p.frame)[:0], header{kind: kindRequest, svc: svc, seq: p.seq}, req)
+	return CallID{p: p, seq: p.seq}, nil
+}
+
+// newCall takes a record off the free list, or makes the first one of a
+// new concurrency high-water mark. Called with ep.mu held.
+func (ep *Endpoint) newCall() *pendingCall {
+	if n := len(ep.free); n > 0 {
+		p := ep.free[n-1]
+		ep.free = ep.free[:n-1]
+		return p
+	}
+	//dflint:allow hotalloc a record is made once per concurrency high-water mark, then recycled
+	return &pendingCall{reply: make(chan replyMsg, 1)}
+}
+
+// Await sends the call begun by Start and blocks until the reply arrives,
+// ctx is done, Cancel ends the call, the endpoint closes, or the retry
+// budget is exhausted. On success the payload aliases a pooled receive
+// buffer, returned alongside it for Release. A ctx that is already done
+// fails the call before anything is sent.
+func (ep *Endpoint) Await(ctx context.Context, id CallID) ([]byte, *[]byte, error) {
+	p := id.p
+	defer ep.retire(p)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	select {
+	case r := <-p.reply: // canceled or closed before Await began
+		return r.payload, r.buf, r.err
+	default:
+	}
 	ep.ctr.requestsSent.Inc()
-
-	defer func() {
-		ep.mu.Lock()
-		delete(ep.pending, seq)
-		ep.mu.Unlock()
-	}()
-
-	fp := getBuf()
-	*fp = appendFrame((*fp)[:0], header{kind: kindRequest, svc: svc, seq: seq}, req)
-	defer putBuf(fp)
 	for attempt := 0; attempt <= ep.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			ep.ctr.retransmits.Inc()
 			if fn, _ := ep.onRetransmit.Load().(func(svc uint16, attempt int)); fn != nil {
-				fn(svc, attempt)
+				fn(p.svc, attempt)
 			}
 		}
-		if err := ep.send(*fp, dst); err != nil {
+		if err := ep.send(*p.frame, p.dst); err != nil {
 			return nil, nil, err
 		}
-		timer := time.NewTimer(backoffInterval(ep.opts.RetransmitTimeout, ep.opts.MaxBackoff, attempt))
+		d := backoffInterval(ep.opts.RetransmitTimeout, ep.opts.MaxBackoff, attempt)
+		if p.timer == nil {
+			p.timer = time.NewTimer(d)
+		} else {
+			p.timer.Reset(d)
+		}
 		select {
-		case r, ok := <-p.reply:
-			timer.Stop()
-			if !ok {
-				return nil, nil, ErrClosed
-			}
-			buf := r.buf
-			return r.payload, func() { putBuf(buf) }, nil
+		case r := <-p.reply:
+			stopTimer(p.timer)
+			return r.payload, r.buf, r.err
 		case <-ctx.Done():
-			timer.Stop()
+			stopTimer(p.timer)
 			return nil, nil, ctx.Err()
-		case <-timer.C:
+		case <-p.timer.C:
 		}
 	}
 	ep.ctr.timeouts.Inc()
 	return nil, nil, ErrTimeout
+}
+
+// stopTimer stops a timer whose channel has not been received from since
+// its last Reset, draining a tick that already fired. Under the pre-Go
+// 1.23 timer semantics this module builds with, a tick that fired is
+// buffered in t.C (or about to be), and a Reset that left it there would
+// fire the next call's first wait at once — a spurious retransmission.
+// Under the 1.23 semantics Stop reports true in that state, so the drain
+// never blocks.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
+	}
+}
+
+// retire ends a call's registration and recycles its record. A message
+// posted to the record after Await stopped listening — a reply that
+// raced a cancellation or a timeout — is drained here under ep.mu, after
+// which nothing can post to the record again, and its receive buffer is
+// recycled.
+func (ep *Endpoint) retire(p *pendingCall) {
+	ep.mu.Lock()
+	if ep.pending[p.seq] == p {
+		delete(ep.pending, p.seq)
+	}
+	var stranded *[]byte
+	select {
+	case r := <-p.reply:
+		stranded = r.buf
+	default:
+	}
+	frame := p.frame
+	p.dst, p.frame = nil, nil
+	ep.free = append(ep.free, p)
+	ep.mu.Unlock()
+	putBuf(stranded)
+	putBuf(frame)
+}
+
+// Cancel ends the call id if it is still outstanding: its Await returns
+// ErrCanceled and retransmission stops. Canceling a call that already
+// finished is a no-op, even after its record was reused by a later call.
+// Safe for concurrent use.
+func (ep *Endpoint) Cancel(id CallID) {
+	ep.mu.Lock()
+	if p := id.p; p != nil && ep.pending[id.seq] == p {
+		delete(ep.pending, id.seq)
+		p.reply <- replyMsg{err: ErrCanceled}
+	}
+	ep.mu.Unlock()
 }
 
 // backoffBase is the deterministic part of the retry schedule: exponential
@@ -638,26 +828,7 @@ func (ep *Endpoint) send(b []byte, to *net.UDPAddr) error {
 	}
 	if ep.opts.DelaySend != nil {
 		if d := ep.opts.DelaySend(b); d > 0 {
-			ep.mu.Lock()
-			if ep.closed {
-				ep.mu.Unlock()
-				return nil
-			}
-			ep.wg.Add(1)
-			ep.mu.Unlock()
-			buf := append([]byte(nil), b...)
-			go func() {
-				defer ep.wg.Done()
-				timer := time.NewTimer(d)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-					if n, err := ep.conn.WriteToUDP(buf, to); err == nil {
-						ep.ctr.bytesSent.Add(int64(n))
-					}
-				case <-ep.stop:
-				}
-			}()
+			ep.sendLater(b, to, d)
 			return nil
 		}
 	}
@@ -679,17 +850,46 @@ func (ep *Endpoint) send(b []byte, to *net.UDPAddr) error {
 	return nil
 }
 
+// sendLater puts a copy of b on the wire after d, from a timer goroutine
+// (delay/reorder injection). Endpoint shutdown cancels the pending send.
+func (ep *Endpoint) sendLater(b []byte, to *net.UDPAddr, d time.Duration) {
+	ep.mu.Lock()
+	if ep.closed {
+		ep.mu.Unlock()
+		return
+	}
+	ep.wg.Add(1)
+	ep.mu.Unlock()
+	//dflint:allow hotalloc delay injection is a test fault hook; the delayed copy must outlive the caller's frame
+	buf := append([]byte(nil), b...)
+	//dflint:allow hotalloc delay injection is a test fault hook; each delayed datagram gets its own timer goroutine
+	go func() {
+		defer ep.wg.Done()
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			if n, err := ep.conn.WriteToUDP(buf, to); err == nil {
+				ep.ctr.bytesSent.Add(int64(n))
+			}
+		case <-ep.stop:
+		}
+	}()
+}
+
 // readLoop parses datagrams and routes them: replies complete pending calls
 // directly (never blocking on handlers), requests are enqueued for the
 // worker pool. Every datagram is read into a pooled buffer whose ownership
 // follows the payload — to a worker for requests and events, to the caller
 // for replies — and is recycled once the payload has been consumed.
+//
+//dflint:hotpath
 func (ep *Endpoint) readLoop() {
 	defer ep.wg.Done()
 	for {
 		bp := getBuf()
 		buf := (*bp)[:frameCap]
-		n, from, err := ep.conn.ReadFromUDP(buf)
+		n, src, err := ep.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			putBuf(bp)
 			return // closed
@@ -700,28 +900,27 @@ func (ep *Endpoint) readLoop() {
 			putBuf(bp)
 			continue
 		}
+		src = unmapped(src)
 		switch h.kind {
 		case kindRequest:
-			ep.dispatchRequest(from, h, payload, bp)
+			ep.dispatchRequest(ep.peers.intern(src), src, h, payload, bp)
 		case kindReply:
-			ep.handleReply(from, h, payload, bp)
+			ep.handleReply(src, h, payload, bp)
 		case kindEvent:
-			ep.dispatchEvent(from, payload, bp, false)
+			ep.dispatchEvent(ep.peers.intern(src), payload, bp, false)
 		case kindBatch:
-			ep.dispatchEvent(from, payload, bp, true)
+			ep.dispatchEvent(ep.peers.intern(src), payload, bp, true)
 		}
 	}
-}
-
-func dupKey(from *net.UDPAddr, seq uint32) string {
-	return fmt.Sprintf("%s|%d", from.String(), seq)
 }
 
 // dispatchRequest hands a request to the worker pool. A duplicate of a
 // request already queued or executing is coalesced; a full queue drops the
 // request (the retransmission carries the retry).
-func (ep *Endpoint) dispatchRequest(from *net.UDPAddr, h header, payload []byte, bp *[]byte) {
-	key := dupKey(from, h.seq)
+//
+//dflint:hotpath
+func (ep *Endpoint) dispatchRequest(from *net.UDPAddr, src netip.AddrPort, h header, payload []byte, bp *[]byte) {
+	key := callKey{addr: src, seq: h.seq}
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -755,6 +954,8 @@ func (ep *Endpoint) dispatchRequest(from *net.UDPAddr, h header, payload []byte,
 // but counted and hooked, not silently: a lost barrier-release event costs
 // a retransmission round-trip upstream, and net.events_dropped is how that
 // shows up in /metrics.
+//
+//dflint:hotpath
 func (ep *Endpoint) dispatchEvent(from *net.UDPAddr, payload []byte, bp *[]byte, batch bool) {
 	ep.mu.Lock()
 	if ep.closed || ep.evHandler == nil {
@@ -788,38 +989,50 @@ func (ep *Endpoint) worker() {
 
 const replyCacheSize = 256
 
-// serve executes one request on a pool worker: replay from the cache for a
-// non-idempotent duplicate, otherwise run the handler and reply. The
-// in-flight mark is cleared only after the reply is cached, so there is no
-// window where a duplicate of a non-idempotent request could re-execute.
-// The inbound's receive buffer is recycled on return.
+// serve executes one request or event on a pool worker and recycles the
+// inbound's receive buffer. A request's in-flight mark is cleared only
+// after serveRequest has cached its reply, so there is no window where a
+// duplicate of a non-idempotent request could re-execute.
+//
+//dflint:hotpath
 func (ep *Endpoint) serve(in inbound) {
-	defer putBuf(in.buf)
 	if in.event {
-		ep.mu.Lock()
-		h := ep.evHandler
-		ep.mu.Unlock()
-		if h == nil {
-			return
-		}
-		if !in.batch {
-			h(in.from, in.payload)
-			return
-		}
-		for body := in.payload; ; {
-			entry, rest, ok := nextBatchEntry(body)
-			if !ok {
-				return
-			}
-			h(in.from, entry)
-			body = rest
-		}
-	}
-	defer func() {
+		ep.serveEvent(in)
+	} else {
+		ep.serveRequest(in)
 		ep.mu.Lock()
 		delete(ep.inFlight, in.key)
 		ep.mu.Unlock()
-	}()
+	}
+	putBuf(in.buf)
+}
+
+// serveEvent delivers an event, or each event of a batch, to the event
+// handler.
+func (ep *Endpoint) serveEvent(in inbound) {
+	ep.mu.Lock()
+	h := ep.evHandler
+	ep.mu.Unlock()
+	if h == nil {
+		return
+	}
+	if !in.batch {
+		h(in.from, in.payload)
+		return
+	}
+	for body := in.payload; ; {
+		entry, rest, ok := nextBatchEntry(body)
+		if !ok {
+			return
+		}
+		h(in.from, entry)
+		body = rest
+	}
+}
+
+// serveRequest replays the cached reply for a non-idempotent duplicate,
+// or runs the handler and replies.
+func (ep *Endpoint) serveRequest(in inbound) {
 	ep.mu.Lock()
 	s, ok := ep.services[in.svc]
 	if !ok {
@@ -842,18 +1055,20 @@ func (ep *Endpoint) serve(in inbound) {
 		ep.ctr.dropped.Inc()
 		return
 	}
-	ep.mu.Lock()
 	if !s.Idempotent {
+		// Copy: the handler may have returned a reply aliasing the request
+		// payload, whose pooled buffer is recycled when serve returns.
+		//dflint:allow hotalloc non-idempotent replies are cached, and the cache must own its bytes
+		owned := append([]byte(nil), reply...)
+		ep.mu.Lock()
 		if len(ep.cacheFIFO) >= replyCacheSize {
 			delete(ep.replyCache, ep.cacheFIFO[0])
 			ep.cacheFIFO = ep.cacheFIFO[1:]
 		}
-		// Copy: the handler may have returned a reply aliasing the request
-		// payload, whose pooled buffer is recycled when serve returns.
-		ep.replyCache[in.key] = append([]byte(nil), reply...)
+		ep.replyCache[in.key] = owned
 		ep.cacheFIFO = append(ep.cacheFIFO, in.key)
+		ep.mu.Unlock()
 	}
-	ep.mu.Unlock()
 	ep.ctr.repliesSent.Inc()
 	ep.sendReply(in.from, in.svc, in.seq, reply)
 }
@@ -865,39 +1080,32 @@ func (ep *Endpoint) sendReply(to *net.UDPAddr, svc uint16, seq uint32, reply []b
 	putBuf(fp)
 }
 
-// sameAddr reports whether a reply's source is the address the request was
-// sent to.
-func sameAddr(a, b *net.UDPAddr) bool {
-	return a.Port == b.Port && a.IP.Equal(b.IP)
-}
-
 // handleReply completes the pending call identified by the reply's seq,
 // after validating that the reply came from the call's destination peer and
 // carries the call's service id; anything else is a stray or forged
-// datagram and is dropped. The receive buffer travels with the payload to
-// the caller (CallBuffered's release) or is recycled here when no call
-// claims it.
-func (ep *Endpoint) handleReply(from *net.UDPAddr, h header, payload []byte, bp *[]byte) {
+// datagram and is dropped. The reply is posted to the call under ep.mu, in
+// the same critical section that unregisters it, so Await's retire — which
+// drains under the lock — either sees it or the call is still registered.
+// The receive buffer travels with the payload to the caller (Release) or
+// is recycled here when no call claims it.
+//
+//dflint:hotpath
+func (ep *Endpoint) handleReply(src netip.AddrPort, h header, payload []byte, bp *[]byte) {
 	ep.mu.Lock()
 	p, ok := ep.pending[h.seq]
-	if ok && (p.svc != h.svc || !sameAddr(from, p.dst)) {
+	if !ok {
+		ep.mu.Unlock()
+		putBuf(bp)
+		return
+	}
+	if p.svc != h.svc || p.dstAP != src {
 		ep.mu.Unlock()
 		ep.ctr.badReplies.Inc()
 		putBuf(bp)
 		return
 	}
-	if ok {
-		delete(ep.pending, h.seq)
-	}
+	delete(ep.pending, h.seq)
+	p.reply <- replyMsg{payload: payload, buf: bp}
 	ep.mu.Unlock()
-	if !ok {
-		putBuf(bp)
-		return
-	}
 	ep.ctr.repliesReceived.Inc()
-	select {
-	case p.reply <- replyMsg{payload: payload, buf: bp}:
-	default:
-		putBuf(bp)
-	}
 }
