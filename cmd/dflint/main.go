@@ -1,33 +1,28 @@
 // Command dflint checks the kernel-seam contracts documented in
 // internal/kernel and enforced by internal/lint: no wall-clock time, raw
 // goroutines, sync primitives, or map-order dependence in kernel-layer
-// packages; no blocking calls in node-context handlers; gob and binary
-// codec registrations for every concrete wire payload; and the
+// packages; no blocking calls in node-context handlers; codec symmetry
+// and coverage for every concrete wire payload; and the
 // whole-program rules (codec symmetry, lock ordering, hot-path
 // allocation freedom, frame escape), plus the protocol-contract tier
 // (handler idempotence, the wire-tag namespace and WIRE.lock manifest,
 // state-machine exhaustiveness/transitions, atomic-access discipline).
 //
-// It runs two ways:
+// Usage:
 //
-//	dflint ./...                      # standalone, like a linter
-//	go vet -vettool=$(which dflint) ./...   # as a vet tool
+//	dflint ./...
 //
-// Standalone mode type-checks the whole module from source (one shared
-// FileSet, so object identities span packages) and runs both the
-// per-package analyzers and the whole-program ones. Vettool mode speaks
-// go vet's unitchecker protocol (-flags, -V=full, then one JSON .cfg
-// file per package); vet hands dflint one export-data unit at a time,
-// which cannot see dependency function bodies, so vettool mode runs the
-// per-package analyzers only. Both print diagnostics as
-// file:line:col: message and exit non-zero when any are found.
-// Violations are suppressed, with a mandatory reason, by
+// dflint type-checks the whole module from source (one shared FileSet,
+// so object identities span packages), every package's test variants
+// included, and runs both the per-package analyzers and the
+// whole-program ones. It prints diagnostics as file:line:col: message
+// and exits non-zero when any are found. Violations are suppressed, with a mandatory reason, by
 //
 //	//dflint:allow <rule> <one-line reason>
 //
 // on the flagged line or the line above it.
 //
-// Standalone flags:
+// Flags:
 //
 //	-json          emit diagnostics as a JSON array instead of text
 //	-sarif FILE    additionally write a SARIF 2.1.0 log to FILE
@@ -36,14 +31,13 @@
 //	-tags          print the wire-tag map (tag, type, enc shape) and exit
 //	-fix-wirelock  rewrite WIRE.lock at the module root and exit
 //
-// When a WIRE.lock manifest exists at the module root, standalone runs
-// diff it against the program's registered codecs and report any drift
+// When a WIRE.lock manifest exists at the module root, each run diffs
+// it against the program's registered codecs and report any drift
 // as tagspace diagnostics: renumbered tags and reordered fields fail CI
 // until the manifest is regenerated deliberately.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -62,113 +56,10 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// go vet's vettool handshake: report our flags, then our identity.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	for _, a := range args {
-		if a == "-V=full" || a == "-V" || strings.HasPrefix(a, "-V=") {
-			printVersion()
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
-	}
-	os.Exit(runStandalone(args))
+	os.Exit(run(os.Args[1:]))
 }
 
-// printVersion implements -V=full. go vet fingerprints the tool for its
-// cache, so the line must carry a build ID that changes when the binary
-// does: the hash of the executable itself.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			id = fmt.Sprintf("%x", sha256.Sum256(data))
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%s\n", os.Args[0], id)
-}
-
-// --- vettool mode: one type-check unit described by a JSON config. ---
-
-// vetConfig is the subset of go vet's unitchecker config that dflint
-// needs: the files of the unit, and how to resolve its imports to
-// export-data files.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dflint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "dflint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// Dependencies are visited only so vet can chain facts; dflint keeps
-	// no cross-package facts, so an empty output satisfies the protocol.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "dflint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, cfg.GoFiles)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dflint: %v\n", err)
-		return 1
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	pkg, info, err := check(fset, cfg.ImportPath, files, importer.ForCompiler(fset, "gc", lookup))
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "dflint: typechecking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	diags := lint.Run(lint.Analyzers(), fset, files, pkg, info)
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// --- standalone mode: load the whole module from source. ---
+// --- Load the whole module from source. ---
 
 // listUnit is the subset of `go list -json` dflint consumes. With -test,
 // a package can appear several times: the plain unit, a test variant
@@ -186,7 +77,7 @@ type listUnit struct {
 	ForTest    string
 }
 
-func runStandalone(args []string) int {
+func run(args []string) int {
 	var (
 		jsonOut     bool
 		sarifPath   string
@@ -218,7 +109,7 @@ func runStandalone(args []string) int {
 		case strings.HasPrefix(a, "-sarif="):
 			sarifPath = strings.TrimPrefix(a, "-sarif=")
 		case strings.HasPrefix(a, "-"):
-			fmt.Fprintf(os.Stderr, "usage: dflint [-json] [-sarif file] [-allowlist] [-fix-baseline] [-tags] [-fix-wirelock] [packages]\n       go vet -vettool=$(which dflint) [packages]\n")
+			fmt.Fprintf(os.Stderr, "usage: dflint [-json] [-sarif file] [-allowlist] [-fix-baseline] [-tags] [-fix-wirelock] [packages]\n")
 			return 2
 		default:
 			patterns = append(patterns, a)

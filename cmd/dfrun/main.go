@@ -52,7 +52,6 @@ func realMain() error {
 		tol     = flag.Float64("tol", 0, "quadrature tolerance (0 = paper default)")
 		proto   = flag.String("protocol", "", "DSM protocol override: migratory | wi | ii | lrc")
 		trans   = flag.String("transport", "sim", "binding: sim (virtual time) | udp (real loopback endpoints)")
-		codec   = flag.String("codec", "binary", "UDP wire codec: binary | gob (previous release's framing)")
 		noDiffs = flag.Bool("nodiffs", false, "disable twin-and-diff page shipping over UDP")
 		trace   = flag.String("trace", "", "write a Chrome trace-event JSON file (DF variants; load in about:tracing or Perfetto)")
 		metrics = flag.Bool("metrics", false, "print the cluster-wide metric aggregation after the run")
@@ -83,7 +82,7 @@ func realMain() error {
 	switch *trans {
 	case "sim":
 	case "udp":
-		tuning := filaments.UDPTuning{Codec: *codec, NoDiffs: *noDiffs}
+		tuning := filaments.UDPTuning{NoDiffs: *noDiffs}
 		return runUDP(*app, *variant, *nodes, *n, *iters, *tol, protocol, tuning, tracer, *trace, *metrics, *verbose)
 	default:
 		return fmt.Errorf("unknown -transport %q (sim | udp)", *trans)

@@ -41,36 +41,35 @@ func TestProtocolCrossCheck(t *testing.T) {
 				if out := cl.Outstanding(); out != 0 {
 					t.Errorf("sim cluster has %d outstanding requests after Run", out)
 				}
-				_, udpGrid, ucl, err := jacobi.DFUDP(cfg)
+				_, udpGrid, run, err := jacobi.DFUDP(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				compareGrids(t, "udp", udpGrid, want)
-				if out := ucl.Outstanding(); out != 0 {
-					t.Errorf("udp cluster has %d outstanding requests after Run", out)
+				if out := run.Outstanding(); out != 0 {
+					t.Errorf("udp run has %d outstanding requests after Run", out)
 				}
 			})
 		}
 	})
 
-	// The -codec=gob fallback must stay usable for one release, and page
-	// diffs must be strictly optional: one leg runs the legacy wire path
-	// (gob framing, whole pages) end to end.
-	t.Run("jacobi-gob-fallback", func(t *testing.T) {
+	// Page diffs are on by default under UDP; this leg ships whole pages
+	// end to end, so the NoDiffs path stays bitwise-checked too.
+	t.Run("jacobi-nodiffs", func(t *testing.T) {
 		const n, iters = 32, 3
 		want := jacobi.Reference(n, iters)
 		cfg := jacobi.Config{
 			N: n, Iters: iters, Nodes: nodes,
 			Protocol: filaments.ImplicitInvalidate,
-			Tuning:   filaments.UDPTuning{Codec: "gob", NoDiffs: true},
+			Tuning:   filaments.UDPTuning{NoDiffs: true},
 		}
-		_, udpGrid, ucl, err := jacobi.DFUDP(cfg)
+		_, udpGrid, run, err := jacobi.DFUDP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareGrids(t, "udp-gob", udpGrid, want)
-		if out := ucl.Outstanding(); out != 0 {
-			t.Errorf("udp cluster has %d outstanding requests after Run", out)
+		compareGrids(t, "udp-nodiffs", udpGrid, want)
+		if out := run.Outstanding(); out != 0 {
+			t.Errorf("udp run has %d outstanding requests after Run", out)
 		}
 	})
 
@@ -91,13 +90,13 @@ func TestProtocolCrossCheck(t *testing.T) {
 				if out := cl.Outstanding(); out != 0 {
 					t.Errorf("sim cluster has %d outstanding requests after Run", out)
 				}
-				_, udpC, ucl, err := matmul.DFUDP(cfg)
+				_, udpC, run, err := matmul.DFUDP(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				compareGrids(t, "udp", udpC, want)
-				if out := ucl.Outstanding(); out != 0 {
-					t.Errorf("udp cluster has %d outstanding requests after Run", out)
+				if out := run.Outstanding(); out != 0 {
+					t.Errorf("udp run has %d outstanding requests after Run", out)
 				}
 			})
 		}

@@ -22,15 +22,8 @@ import (
 	"filaments"
 	"filaments/internal/cost"
 	"filaments/internal/msg"
-	"filaments/internal/rtnode"
 	"filaments/internal/simnet"
 )
-
-// The real-time binding serializes payloads with gob; the CG program
-// ships grid strips through msg's envelope.
-func init() {
-	rtnode.RegisterWire([][]float64(nil))
-}
 
 // Config parameterizes a run.
 type Config struct {
@@ -384,22 +377,55 @@ func dfProgram(cfg Config, ga, gb filaments.Matrix) filaments.Program {
 	}
 }
 
-// udpHost is the slice of the UDPCluster/UDPRun surface the program
-// needs; both satisfy it, so the single-program form (DFUDP) and the
-// service form (DFOn, one job on a live daemon cluster) share one body.
-type udpHost interface {
-	AllocMatrixOwned(rows, cols, owner int) filaments.Matrix
-	Run(filaments.Program) (*filaments.UDPReport, error)
-	PeekMatrix(filaments.Matrix) [][]float64
+// DFUDP runs the same DF program on a single-process real-time cluster:
+// every node is a set of goroutines with its own UDP endpoint on
+// loopback. The cluster hosts this one run and is closed before DFUDP
+// returns; the finished run is returned for inspection. The grid is
+// bitwise-identical to Reference's (both evaluate
+// 0.25*(up+down+left+right) over identical inputs in identical order),
+// so callers verify with exact comparison.
+func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPRun, error) {
+	cfg.defaults()
+	proto := cfg.Protocol
+	if cfg.UseMigratory {
+		proto = filaments.Migratory
+	}
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: cfg.Nodes, Tuning: cfg.Tuning})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	run, err := cl.StartRun(filaments.UDPRunConfig{
+		Protocol:     proto,
+		Tracer:       cfg.Tracer,
+		Monitor:      cfg.Monitor,
+		MirageWindow: cfg.MirageWindow,
+	})
+	if err != nil {
+		cl.Close() //nolint:errcheck // the start error is the one to report
+		return nil, nil, nil, err
+	}
+	rep, grid, err := DFOn(cfg, run)
+	if cerr := cl.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rep, grid, run, nil
 }
 
-// dfOn allocates the grids on h, runs the DF program, and peeks the
-// final grid. cfg must already be defaulted.
-func dfOn(cfg Config, h udpHost) (*filaments.UDPReport, [][]float64, error) {
+// DFOn runs the DF program as one job on a live cluster's run
+// (internal/cluster/daemon submits jobs here). Cluster-wide settings —
+// protocol, tracing, wire tuning — were fixed when the run was started;
+// cfg supplies the problem shape. The grid is bitwise-identical to
+// Reference's.
+func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, [][]float64, error) {
+	cfg.Nodes = run.Nodes()
+	cfg.defaults()
 	n := cfg.N
-	ga := h.AllocMatrixOwned(n, n, 0)
-	gb := h.AllocMatrixOwned(n, n, 0)
-	rep, err := h.Run(dfProgram(cfg, ga, gb))
+	ga := run.AllocMatrixOwned(n, n, 0)
+	gb := run.AllocMatrixOwned(n, n, 0)
+	rep, err := run.Run(dfProgram(cfg, ga, gb))
 	if err != nil {
 		return rep, nil, err
 	}
@@ -407,47 +433,7 @@ func dfOn(cfg Config, h udpHost) (*filaments.UDPReport, [][]float64, error) {
 	if cfg.Iters%2 == 1 {
 		final = gb
 	}
-	return rep, h.PeekMatrix(final), nil
-}
-
-// DFUDP runs the same DF program on a single-process real-time cluster:
-// every node is a set of goroutines with its own UDP endpoint on
-// loopback. The returned grid is bitwise-identical to Reference's (both
-// evaluate 0.25*(up+down+left+right) over identical inputs in identical
-// order), so callers verify with exact comparison.
-func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPCluster, error) {
-	cfg.defaults()
-	proto := cfg.Protocol
-	if cfg.UseMigratory {
-		proto = filaments.Migratory
-	}
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-		Nodes:        cfg.Nodes,
-		Protocol:     proto,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-		Tuning:       cfg.Tuning,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep, grid, err := dfOn(cfg, cl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rep, grid, cl, nil
-}
-
-// DFOn runs the DF program as one job on a live service cluster's run
-// (internal/cluster/daemon submits jobs here). Cluster-wide settings —
-// protocol, tracing, codec — were fixed when the run was started; cfg
-// supplies the problem shape. The grid is bitwise-identical to
-// Reference's, exactly as under DFUDP.
-func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, [][]float64, error) {
-	cfg.Nodes = run.Nodes()
-	cfg.defaults()
-	return dfOn(cfg, run)
+	return rep, run.PeekMatrix(final), nil
 }
 
 // DFNode runs the same DF program as one node of a multi-process cluster

@@ -19,15 +19,8 @@ import (
 	"filaments"
 	"filaments/internal/cost"
 	"filaments/internal/msg"
-	"filaments/internal/rtnode"
 	"filaments/internal/simnet"
 )
-
-// The real-time binding serializes payloads with gob; the CG program
-// broadcasts B and ships matrix strips through msg's envelope.
-func init() {
-	rtnode.RegisterWire([][]float64(nil))
-}
 
 // Config parameterizes a run.
 type Config struct {
@@ -281,67 +274,59 @@ func dfProgram(cfg Config, a, b, cm filaments.Matrix) filaments.Program {
 	}
 }
 
-// udpHost is the slice of the UDPCluster/UDPRun surface the program
-// needs; both satisfy it, so the single-program form (DFUDP) and the
-// service form (DFOn, one job on a live daemon cluster) share one body.
-type udpHost interface {
-	AllocMatrixOwned(rows, cols, owner int) filaments.Matrix
-	AllocMatrixStriped(rows, cols int) filaments.Matrix
-	Run(filaments.Program) (*filaments.UDPReport, error)
-	PeekMatrix(filaments.Matrix) [][]float64
-}
-
-// dfOn allocates the matrices on h, runs the DF program, and peeks the
-// product. cfg must already be defaulted.
-func dfOn(cfg Config, h udpHost) (*filaments.UDPReport, [][]float64, error) {
-	n := cfg.N
-	a := h.AllocMatrixOwned(n, n, 0)
-	b := h.AllocMatrixOwned(n, n, 0)
-	cm := h.AllocMatrixStriped(n, n)
-	rep, err := h.Run(dfProgram(cfg, a, b, cm))
-	if err != nil {
-		return rep, nil, err
-	}
-	return rep, h.PeekMatrix(cm), nil
-}
-
 // DFUDP runs the same DF program on a single-process real-time cluster:
 // every node is a set of goroutines with its own UDP endpoint on loopback.
-// The result is bitwise-identical to Reference's (identical inner-product
-// evaluation order), so callers verify with exact comparison.
-func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPCluster, error) {
+// The cluster hosts this one run and is closed before DFUDP returns; the
+// finished run is returned for inspection. The result is
+// bitwise-identical to Reference's (identical inner-product evaluation
+// order), so callers verify with exact comparison.
+func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPRun, error) {
 	cfg.defaults()
 	proto := cfg.Protocol
 	if cfg.UseMigratory {
 		proto = filaments.Migratory
 	}
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-		Nodes:        cfg.Nodes,
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: cfg.Nodes, Tuning: cfg.Tuning})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	run, err := cl.StartRun(filaments.UDPRunConfig{
 		Protocol:     proto,
 		Tracer:       cfg.Tracer,
 		Monitor:      cfg.Monitor,
 		MirageWindow: cfg.MirageWindow,
-		Tuning:       cfg.Tuning,
 	})
 	if err != nil {
+		cl.Close() //nolint:errcheck // the start error is the one to report
 		return nil, nil, nil, err
 	}
-	rep, prod, err := dfOn(cfg, cl)
+	rep, prod, err := DFOn(cfg, run)
+	if cerr := cl.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return rep, prod, cl, nil
+	return rep, prod, run, nil
 }
 
-// DFOn runs the DF program as one job on a live service cluster's run
+// DFOn runs the DF program as one job on a live cluster's run
 // (internal/cluster/daemon submits jobs here). Cluster-wide settings —
-// protocol, tracing, codec — were fixed when the run was started; cfg
-// supplies the problem shape. The product is bitwise-identical to
-// Reference's, exactly as under DFUDP.
+// protocol, tracing, wire tuning — were fixed when the run was started;
+// cfg supplies the problem shape. The product is bitwise-identical to
+// Reference's.
 func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, [][]float64, error) {
 	cfg.Nodes = run.Nodes()
 	cfg.defaults()
-	return dfOn(cfg, run)
+	n := cfg.N
+	a := run.AllocMatrixOwned(n, n, 0)
+	b := run.AllocMatrixOwned(n, n, 0)
+	cm := run.AllocMatrixStriped(n, n)
+	rep, err := run.Run(dfProgram(cfg, a, b, cm))
+	if err != nil {
+		return rep, nil, err
+	}
+	return rep, run.PeekMatrix(cm), nil
 }
 
 // strip returns the row range [lo, hi) node k computes.

@@ -16,7 +16,6 @@ import (
 	"filaments"
 	"filaments/internal/cost"
 	"filaments/internal/msg"
-	"filaments/internal/rtnode"
 	"filaments/internal/simnet"
 )
 
@@ -25,12 +24,6 @@ import (
 type interval struct {
 	A, B float64
 	Done bool
-}
-
-// The real-time binding serializes payloads with gob; the CG programs'
-// payloads cross the wire inside msg's envelope.
-func init() {
-	rtnode.RegisterWire(interval{})
 }
 
 // Config parameterizes a run.
@@ -290,37 +283,43 @@ func dfRun(cfg Config, stealing bool) (*filaments.Report, float64, *filaments.Cl
 }
 
 // DFUDP runs the same fork/join program on the single-process real-time
-// cluster: goroutine nodes with UDP endpoints on loopback. Steal-race
-// timing makes the summation order nondeterministic, so the area agrees
-// with Reference only to rounding (callers compare within a tolerance).
+// cluster: goroutine nodes with UDP endpoints on loopback, hosting this
+// one run and closed before DFUDP returns. Steal-race timing makes the
+// summation order nondeterministic, so the area agrees with Reference
+// only to rounding (callers compare within a tolerance).
 func DFUDP(cfg Config, stealing bool) (*filaments.UDPReport, float64, error) {
 	cfg.defaults()
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-		Nodes:        cfg.Nodes,
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: cfg.Nodes, Tuning: cfg.Tuning})
+	if err != nil {
+		return nil, 0, err
+	}
+	run, err := cl.StartRun(filaments.UDPRunConfig{
 		Protocol:     cfg.Protocol,
 		Stealing:     stealing,
 		WakeFront:    true,
 		Tracer:       cfg.Tracer,
 		Monitor:      cfg.Monitor,
 		MirageWindow: cfg.MirageWindow,
-		Tuning:       cfg.Tuning,
 	})
 	if err != nil {
+		cl.Close() //nolint:errcheck // the start error is the one to report
 		return nil, 0, err
 	}
-	var out float64
-	rep, err := cl.Run(dfProgram(cfg, &out))
+	rep, area, err := DFOn(cfg, run)
+	if cerr := cl.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	return rep, out, nil
+	return rep, area, nil
 }
 
 // DFOn runs the fork/join program as one job on a live service cluster's
 // run (internal/cluster/daemon submits jobs here). Stealing and
 // WakeFront were fixed when the run was started; cfg supplies the
-// integrand shape. As under DFUDP, steal-race timing makes the summation
-// order nondeterministic, so the area agrees with Reference only to
+// integrand shape. Steal-race timing makes the summation order
+// nondeterministic, so the area agrees with Reference only to
 // rounding.
 func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, float64, error) {
 	cfg.Nodes = run.Nodes()

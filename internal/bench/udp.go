@@ -16,10 +16,9 @@ import (
 // experiments report calibrated virtual time and reproduce the paper's
 // numbers anywhere, while these report wall time on real loopback
 // sockets, so the absolute numbers depend on the host. What IS portable
-// is the ratio between wire-path configurations — the gob framing the
-// transport started with, the zero-allocation binary codec, and the
-// codec plus twin-and-diff page shipping — which is exactly what the
-// tables put side by side.
+// is the ratio between wire-path configurations — whole pages and
+// twin-and-diff page shipping — which is exactly what the tables put
+// side by side.
 
 var udpRegistry []Experiment
 
@@ -47,16 +46,14 @@ func init() {
 	registerUDP("udp_barrier", "Barrier latency over loopback UDP, by wire configuration", udpBarrier)
 }
 
-// udpTunings is the wire-path sweep every UDP experiment runs: the
-// previous release's framing as the baseline, then each optimization
-// layered in.
+// udpTunings is the wire-path sweep every UDP experiment runs: whole
+// pages as the baseline, then page diffs layered in.
 var udpTunings = []struct {
 	name   string
 	tuning filaments.UDPTuning
 }{
-	{"gob", filaments.UDPTuning{Codec: "gob", NoDiffs: true}},
-	{"binary", filaments.UDPTuning{Codec: "binary", NoDiffs: true}},
-	{"binary+diffs", filaments.UDPTuning{Codec: "binary"}},
+	{"binary", filaments.UDPTuning{NoDiffs: true}},
+	{"binary+diffs", filaments.UDPTuning{}},
 }
 
 func wireBytes(rep *filaments.UDPReport) int64 {
@@ -130,11 +127,16 @@ func udpBarrier(w io.Writer, o Options) {
 		if err != nil {
 			panic(err)
 		}
-		rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+		run, err := cl.StartRun(filaments.UDPRunConfig{})
+		if err != nil {
+			panic(err)
+		}
+		rep, err := run.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
 			for i := 0; i < k; i++ {
 				e.Barrier()
 			}
 		})
+		cl.Close() //nolint:errcheck // the run's error is the one to report
 		if err != nil {
 			panic(err)
 		}

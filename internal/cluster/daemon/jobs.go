@@ -24,7 +24,7 @@ const (
 )
 
 // JobSpec is what a client submits: which app to run and its problem
-// shape. Cluster size, codec, and event batching are daemon-wide and
+// shape. Cluster size, page diffs, and event batching are daemon-wide and
 // not per job.
 type JobSpec struct {
 	// App is the program to run: jacobi, matmul, or quadrature.

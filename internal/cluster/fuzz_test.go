@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -10,10 +9,9 @@ import (
 )
 
 // FuzzMembershipRoundTrip frames every membership payload (wire tags
-// 48–53) under both codecs the transport supports — the legacy gob
-// framing and the binary codec — and asserts each decodes to the
-// original value and that the two agree, the same differential
-// discipline as dsm's FuzzLRCFlushRoundTrip. The membership messages
+// 48–53) under the binary codec, exactly as the transport sends it, and
+// asserts each decodes to the original value, the same discipline as
+// dsm's FuzzLRCFlushRoundTrip. The membership messages
 // are the cluster's front door, so their wire behavior is pinned per
 // message rather than trusted to the shared registry.
 func FuzzMembershipRoundTrip(f *testing.F) {
@@ -31,29 +29,9 @@ func FuzzMembershipRoundTrip(f *testing.F) {
 			LeaveAck{Gen: gen},
 		}
 		for _, in := range msgs {
-			// Leg 1: the legacy gob framing, exactly as CodecGob sends it.
-			var buf bytes.Buffer
-			framed := in
-			if err := gob.NewEncoder(&buf).Encode(&framed); err != nil {
-				t.Fatalf("%T: gob encode: %v", in, err)
-			}
-			var gobGot any
-			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&gobGot); err != nil {
-				t.Fatalf("%T: gob decode: %v", in, err)
-			}
-			if !reflect.DeepEqual(gobGot, in) {
-				t.Fatalf("gob round trip changed value:\n sent %#v\n got  %#v", in, gobGot)
-			}
-
-			// Leg 2: the binary codec, exactly as CodecBinary sends it.
-			binGot := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-			if !reflect.DeepEqual(binGot, in) {
-				t.Fatalf("binary round trip changed value:\n sent %#v\n got  %#v", in, binGot)
-			}
-
-			// Differential: both codecs must deliver the identical struct.
-			if !reflect.DeepEqual(binGot, gobGot) {
-				t.Fatalf("codecs disagree:\n gob    %#v\n binary %#v", gobGot, binGot)
+			got := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
+			if !reflect.DeepEqual(got, in) {
+				t.Fatalf("round trip changed value:\n sent %#v\n got  %#v", in, got)
 			}
 		}
 	})

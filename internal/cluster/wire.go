@@ -11,8 +11,7 @@ import (
 // above the lane space (rtnode.MaxLanes*rtnode.LaneStride = 0x1000), so
 // a daemon needs exactly one socket for both roles. Payloads use the
 // binary wire codec under tags 48–53 (see the tag map in
-// rtnode/codec.go); gob registration keeps the `-codec=gob` fallback
-// working.
+// rtnode/codec.go).
 
 // Service ids for the membership services on the coordinator's endpoint.
 const (
@@ -60,8 +59,6 @@ type LeaveAck struct {
 }
 
 func init() {
-	rtnode.RegisterWire(JoinMsg{}, JoinAck{}, BeatMsg{}, BeatAck{}, LeaveMsg{}, LeaveAck{})
-
 	rtnode.RegisterWireCodec(JoinMsg{}, 48,
 		func(e *rtnode.Enc, v any) { e.String(v.(JoinMsg).Addr) },
 		func(d *rtnode.Dec) any { return JoinMsg{Addr: d.String()} })

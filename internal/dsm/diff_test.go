@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -115,7 +114,7 @@ func TestDiffApplyMalformed(t *testing.T) {
 // TestPageDataCodecZeroAlloc is the allocation gate from the issue: one
 // pageData encode+decode round trip through the binary codec must cost
 // zero allocations when the caller reuses buffers, because this is the
-// per-page-transfer hot path the gob framing was replaced to fix. The
+// per-page-transfer hot path. The
 // registry's `any` boxing is excluded by design — the transport hands
 // pooled buffers straight to these helpers.
 func TestPageDataCodecZeroAlloc(t *testing.T) {
@@ -166,11 +165,10 @@ func TestPageDataCodecBogusCount(t *testing.T) {
 	}
 }
 
-// Benchmarks: the codec replacement's reason to exist, measured. Run with
+// BenchmarkPageDataBinary measures one page encode+decode round trip
+// through the binary codec. Run with
 //
 //	go test ./internal/dsm -bench PageData -benchmem
-//
-// to compare the binary page codec against the gob framing it replaced.
 func BenchmarkPageDataBinary(b *testing.B) {
 	in := pageData{Block: 42, Ver: 3, Data: make([]byte, 4096), Copyset: []kernel.NodeID{1, 2}}
 	e := &rtnode.Enc{B: make([]byte, 0, 4200)}
@@ -183,21 +181,5 @@ func BenchmarkPageDataBinary(b *testing.B) {
 		encPageData(e, &in)
 		d := rtnode.Dec{B: e.B}
 		decPageDataInto(&d, &out)
-	}
-}
-
-func BenchmarkPageDataGob(b *testing.B) {
-	var in any = pageData{Block: 42, Ver: 3, Data: make([]byte, 4096), Copyset: []kernel.NodeID{1, 2}}
-	b.ReportAllocs()
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-			b.Fatal(err)
-		}
-		var out any
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

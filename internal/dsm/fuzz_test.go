@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -10,9 +9,8 @@ import (
 )
 
 // FuzzLRCFlushRoundTrip frames an LRC release flush (wire tag 20) under
-// both codecs the transport supports — the legacy gob framing and the
-// binary codec — and asserts each decodes to the original value and that
-// the two agree (differential check, same discipline as rtnode's
+// the binary codec, exactly as the transport sends it, and asserts it
+// decodes to the original value (same discipline as rtnode's
 // FuzzWireRoundTrip). lrcFlush is the one page-protocol payload with a
 // nested length-prefixed sequence (per-block diff blobs), which is
 // exactly where count/width bugs hide. Seeds cover the empty flush, a
@@ -33,39 +31,13 @@ func FuzzLRCFlushRoundTrip(f *testing.F) {
 			}
 			in.Diffs = append(in.Diffs, diffs[lo:])
 		}
-		want := normalizeFlush(in)
-
-		// Leg 1: the legacy gob framing, exactly as CodecGob sends it.
-		var buf bytes.Buffer
-		var framed any = in
-		if err := gob.NewEncoder(&buf).Encode(&framed); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		var out any
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		gobGot, ok := out.(lrcFlush)
+		out := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
+		got, ok := out.(lrcFlush)
 		if !ok {
-			t.Fatalf("gob round trip changed type: sent %T, got %T", in, out)
+			t.Fatalf("round trip changed type: sent %T, got %T", in, out)
 		}
-		if !reflect.DeepEqual(normalizeFlush(gobGot), want) {
-			t.Fatalf("gob round trip changed value:\n sent %#v\n got  %#v", in, gobGot)
-		}
-
-		// Leg 2: the binary codec, exactly as CodecBinary sends it.
-		bout := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-		binGot, ok := bout.(lrcFlush)
-		if !ok {
-			t.Fatalf("binary round trip changed type: sent %T, got %T", in, bout)
-		}
-		if !reflect.DeepEqual(normalizeFlush(binGot), want) {
-			t.Fatalf("binary round trip changed value:\n sent %#v\n got  %#v", in, binGot)
-		}
-
-		// Differential: both codecs must deliver the identical struct.
-		if !reflect.DeepEqual(normalizeFlush(binGot), normalizeFlush(gobGot)) {
-			t.Fatalf("codecs disagree:\n gob    %#v\n binary %#v", gobGot, binGot)
+		if !reflect.DeepEqual(normalizeFlush(got), normalizeFlush(in)) {
+			t.Fatalf("round trip changed value:\n sent %#v\n got  %#v", in, got)
 		}
 	})
 }
@@ -81,6 +53,9 @@ func FuzzLRCFlushDecode(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x01, 0xff})        // one block, one diff byte
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})  // bogus huge count
 	f.Add(rtnode.MarshalPayload(lrcFlush{})[1:]) // valid empty body
+	// One block whose diff length is near MaxInt64: the bounds check
+	// must not overflow.
+	f.Add([]byte{0x01, 0x00, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d := rtnode.Dec{B: raw}
 		var m lrcFlush
@@ -103,7 +78,7 @@ func FuzzLRCFlushDecode(f *testing.F) {
 }
 
 // normalizeFlush maps zero-length slices to nil at every level, since
-// neither codec gives nil-versus-empty a wire meaning.
+// the codec gives nil-versus-empty no wire meaning.
 func normalizeFlush(m lrcFlush) lrcFlush {
 	if len(m.Blocks) == 0 {
 		m.Blocks = nil

@@ -7,7 +7,6 @@ import (
 	"filaments/internal/dsm"
 	"filaments/internal/kernel"
 	"filaments/internal/obs"
-	"filaments/internal/rtnode"
 )
 
 // Fork/join filaments (paper §2.3). A recursive computation starts on node
@@ -72,11 +71,6 @@ type stealReply struct {
 }
 
 type doneMsg struct{ Result float64 }
-
-// The real-time binding serializes payloads with gob.
-func init() {
-	rtnode.RegisterWire(forkMsg{}, resultMsg{}, stealReply{}, doneMsg{})
-}
 
 // Join accumulates the results of forked children.
 type Join struct {

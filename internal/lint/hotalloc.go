@@ -27,8 +27,8 @@ import (
 //     small ones, and constant boxes are loop-invariant)
 //   - string<->[]byte conversions, which copy
 //   - closures and go statements
-//   - calls into stdlib packages known to allocate (fmt, gob, reflect,
-//     sort, strings, strconv); other bodiless callees are trusted
+//   - calls into stdlib packages known to allocate (fmt, reflect, sort,
+//     strings, strconv); other bodiless callees are trusted
 //
 // Dynamic calls (interface methods, function values) are trusted: the
 // seam's indirections are bound to implementations the graph cannot
@@ -44,12 +44,11 @@ var HotAlloc = &ProgramAnalyzer{
 // allocStdlib is the deny-list of bodiless callees: stdlib packages a
 // hot path must not enter because their common entry points allocate.
 var allocStdlib = map[string]bool{
-	"fmt":          true,
-	"encoding/gob": true,
-	"reflect":      true,
-	"sort":         true,
-	"strings":      true,
-	"strconv":      true,
+	"fmt":     true,
+	"reflect": true,
+	"sort":    true,
+	"strings": true,
+	"strconv": true,
 }
 
 func runHotAlloc(pass *ProgramPass) {

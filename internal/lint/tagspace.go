@@ -22,12 +22,13 @@ import (
 //     0x7F00 test base) claiming one tag for different types is an
 //     error at the second site, whether or not any binary links both;
 //
-//   - codec coverage: a module-defined struct type passed as the
-//     payload of Transport.Call, Send, RequestAsync, or RequestSized
-//     must have a registered binary codec. Without one it silently
-//     rides the gob escape hatch (tag 1), which works — at the
-//     per-message cost the paper's Table 2 says kills fine-grain
-//     parallelism, and invisibly to the WIRE.lock manifest.
+//   - codec coverage: a module-defined struct type that reaches the
+//     wire — the payload of Transport.Call, Send, RequestAsync, or
+//     RequestSized, of msg.Endpoint.Send or Broadcast, or the reply a
+//     kernel service handler returns — must have a registered binary
+//     codec. Without one the simulation binding, which passes payloads
+//     by reference, works perfectly, and the UDP binding's encoder
+//     panics on the first real message.
 //
 // The third guarantee, wire-format *stability*, lives in the WIRE.lock
 // manifest (WireTags/FormatWireLock/DiffWireLock, driven by
@@ -40,8 +41,8 @@ import (
 // `dflint -fix-wirelock` after a reviewed protocol change.
 var TagSpace = &ProgramAnalyzer{
 	Name: "tagspace",
-	Doc: "whole-module wire-tag map: no duplicate tags, every Transport payload " +
-		"type reaches a registered binary codec, WIRE.lock drift detection",
+	Doc: "whole-module wire-tag map: no duplicate tags, every payload and handler " +
+		"reply type reaches a registered binary codec, WIRE.lock drift detection",
 	Run: runTagSpace,
 }
 
@@ -61,7 +62,7 @@ type wireReg struct {
 	testFile bool
 }
 
-// collectRegistrations finds every RegisterWireCodec call in the
+// collectWireRegs finds every RegisterWireCodec call in the
 // program, deduplicated by position (test variants re-load files).
 func collectWireRegs(prog *Program) []wireReg {
 	var regs []wireReg
@@ -152,7 +153,7 @@ func runTagSpace(pass *ProgramPass) {
 		}
 	}
 
-	// Codec coverage for Transport payloads.
+	// Codec coverage for everything that reaches the wire.
 	registered := make(map[string]bool)
 	for _, r := range regs {
 		registered[r.typeKey] = true
@@ -160,23 +161,28 @@ func runTagSpace(pass *ProgramPass) {
 	for _, u := range pass.Program.Units {
 		for _, f := range u.Files {
 			unit := u
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				arg, ok := transportPayloadArg(unit.Info, call)
-				if !ok {
-					return true
-				}
+			check := func(arg ast.Expr, how string) {
 				t, name := modulePayloadStruct(unit.Info, arg)
-				if t == "" {
-					return true
-				}
-				if !registered[t] {
+				if t != "" && !registered[t] {
 					pass.Reportf(arg.Pos(),
-						"payload type %s reaches the wire with no registered binary codec (gob escape hatch): add a RegisterWireCodec for it or //dflint:allow tagspace",
-						name)
+						"%s type %s reaches the wire with no registered binary codec: add a RegisterWireCodec for it or //dflint:allow tagspace",
+						how, name)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if arg, ok := wirePayloadArg(unit.Info, n); ok {
+						check(arg, "payload")
+					}
+				case *ast.FuncDecl:
+					if n.Body != nil && isHandlerSig(unit.Info.Defs[n.Name]) {
+						checkHandlerReplies(n.Body, check)
+					}
+				case *ast.FuncLit:
+					if tv, ok := unit.Info.Types[n]; ok && handlerSigType(tv.Type) {
+						checkHandlerReplies(n.Body, check)
+					}
 				}
 				return true
 			})
@@ -184,12 +190,17 @@ func runTagSpace(pass *ProgramPass) {
 	}
 }
 
-// transportPayloadArg returns the payload argument of a kernel
-// Transport call (Call, Send, RequestAsync, RequestSized), matching by
-// method name plus an `any`-typed parameter at the known position so
-// unrelated Send methods don't match.
-func transportPayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
+// wirePayloadArg returns the payload argument of a call that puts a
+// value on the wire: a kernel Transport call (Call, Send, RequestAsync,
+// RequestSized), matched by method name plus an `any`-typed parameter at
+// the known position so unrelated Send methods don't match, or
+// msg.Endpoint.Send/Broadcast.
+func wirePayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok {
 		return nil, false
 	}
@@ -199,11 +210,13 @@ func transportPayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) 
 		"RequestAsync": 2,
 		"RequestSized": 2,
 	}[sel.Sel.Name]
-	if !known {
-		return nil, false
+	switch {
+	case isPkgObj(fn, "filaments/internal/msg", "Send"):
+		idx, known = 2, true
+	case isPkgObj(fn, "filaments/internal/msg", "Broadcast"):
+		idx, known = 1, true
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
+	if !known {
 		return nil, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -358,4 +371,36 @@ func DiffWireLock(checkedIn string, current []WireTag) []string {
 		diffs = append(diffs, fmt.Sprintf("tag %d (%s) disappeared — old peers still send it", tag, old[tag].Type))
 	}
 	return diffs
+}
+
+// isHandlerSig reports whether obj is a function with the kernel.Service
+// handler signature func(NodeID, any) (any, int, Verdict).
+func isHandlerSig(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	return handlerSigType(fn.Type())
+}
+
+func handlerSigType(t types.Type) bool {
+	sig, ok := t.(*types.Signature)
+	if !ok || sig.Params().Len() != 2 || sig.Results().Len() != 3 {
+		return false
+	}
+	return isKernelType(sig.Params().At(0).Type(), "NodeID") &&
+		isKernelType(sig.Results().At(2).Type(), "Verdict")
+}
+
+// checkHandlerReplies applies check to the reply operand of every return
+// in a handler body (the reply is encoded when it crosses the wire).
+func checkHandlerReplies(body *ast.BlockStmt, check func(ast.Expr, string)) {
+	inspectSkipNestedFuncs(body, func(n ast.Node) bool {
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok || len(ret.Results) != 3 {
+			return true
+		}
+		check(ret.Results[0], "handler reply")
+		return true
+	})
 }

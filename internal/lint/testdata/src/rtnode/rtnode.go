@@ -1,9 +1,6 @@
 // Package rtnode is a hermetic stand-in for filaments/internal/rtnode's
-// wire-type registry and binary codec surface, for the gobreg and
-// codecsym fixtures.
+// binary codec surface, for the codecsym and tagspace fixtures.
 package rtnode
-
-func RegisterWire(protos ...any) {}
 
 func RegisterWireCodec(proto any, tag uint16, enc func(*Enc, any), dec func(*Dec) any) {}
 

@@ -11,7 +11,6 @@ import (
 
 	"filaments/internal/kernel"
 	"filaments/internal/obs"
-	"filaments/internal/rtnode"
 )
 
 // Tag distinguishes message streams between the same pair of nodes.
@@ -21,14 +20,6 @@ type wire struct {
 	Tag  Tag
 	Data any
 	Size int
-}
-
-// The real-time binding serializes payloads with gob. The envelope was
-// missing from the registry until dflint's gobreg check caught it: every
-// simulated CG test passed, and the first UDP frame would have failed to
-// encode.
-func init() {
-	rtnode.RegisterWire(wire{})
 }
 
 type key struct {

@@ -22,16 +22,10 @@ import (
 	"filaments/internal/dsm"
 	"filaments/internal/kernel"
 	"filaments/internal/obs"
-	"filaments/internal/rtnode"
 )
 
 // SvcArrive is the service ID for tournament arrive messages.
 const SvcArrive kernel.ServiceID = 20
-
-// The real-time binding serializes payloads with gob.
-func init() {
-	rtnode.RegisterWire(arriveMsg{}, releaseMsg{})
-}
 
 // Op combines two reduction values. It must be commutative and
 // associative, and identical on every node for a given reduction.

@@ -1,9 +1,7 @@
 package rtnode
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,32 +10,26 @@ import (
 
 // The binary wire codec.
 //
-// The real-time transport originally gob-encoded every payload as an
-// interface value. Gob is self-describing and safe, but it costs dozens
-// of allocations and a reflection walk per message — on the page-transfer
-// hot path that software overhead is exactly what the paper says kills
-// fine-grain parallelism on a cluster. This file replaces it with a
-// hand-rolled binary codec: each wire struct registers an explicit
-// encoder/decoder under a small numeric tag (RegisterWireCodec, next to
-// the gob registration the dflint gobreg analyzer already enforces), and
-// the encode path appends into caller-provided buffers so a page message
-// round-trips with zero codec allocations.
+// Every payload the real-time transport sends crosses the wire in this
+// codec. Each wire struct registers an explicit encoder/decoder under a
+// small numeric tag (RegisterWireCodec, from an init in the package that
+// sends it; dflint's tagspace analyzer checks that every send and reply
+// site has one), and the encode path appends into caller-provided
+// buffers, so a page message round-trips with zero codec allocations:
+// per-message software cost is exactly what the paper says kills
+// fine-grain parallelism on a cluster.
 //
-// Frame format of one payload (CodecBinary mode):
+// Frame format of one payload:
 //
 //	empty            — nil payload (steal probes, ack-only replies)
 //	uvarint tag, body — tagged value
 //
-// Tag 1 is the gob escape hatch: a type registered with RegisterWire but
-// without a binary codec still crosses the wire as a length-prefixed gob
-// blob, so the codec migration never silently strands a payload type.
-// Tag 0 is nil (needed for nested nil values, e.g. msg envelopes). Tags
-// 8–15 are reserved for builtin shapes registered by this package
-// ([][]float64); kernel packages use 16 and up.
-//
-// CodecGob mode keeps the previous release's framing bit for bit (a raw
-// gob stream, no tag), selected with `-codec=gob` on the CLIs. The codec
-// is a cluster-wide setting: every node must agree, like the protocol.
+// Tag 0 is nil (needed for nested nil values, e.g. msg envelopes). Tag 1
+// is retired: it once carried gob blobs, and a peer that still sends one
+// must fail to decode rather than be misread. Tags 8–15 are reserved for
+// builtin shapes registered by this package ([][]float64); kernel
+// packages use 16 and up. Encoding a type with no registered codec
+// panics and names the type.
 //
 // Decoded values may alias the input buffer ([]byte fields are not
 // copied). The transport owns the buffer until the handler or callback
@@ -48,7 +40,7 @@ import (
 // Builtin tags (8–15) and the reserved structural tags.
 const (
 	tagNil     = 0
-	tagGob     = 1
+	tagRetired = 1
 	tagF64Grid = 8 // [][]float64, the shape every CG program ships
 	// TagTestBase and up are reserved for test-only registrations, so
 	// fixture codecs can never collide with kernel tags.
@@ -95,8 +87,8 @@ func (e *Enc) Bool(b bool) {
 }
 
 // Bytes appends a length-prefixed byte slice. nil and empty encode
-// identically: the wire contract (pinned by the rtnode fuzz test since
-// the gob era) is that nil-versus-empty carries no protocol meaning.
+// identically: the wire contract (pinned by the rtnode fuzz test) is
+// that nil-versus-empty carries no protocol meaning.
 //
 //dflint:hotpath
 func (e *Enc) Bytes(b []byte) {
@@ -197,7 +189,7 @@ func (d *Dec) Bool() bool {
 //dflint:hotpath
 func (d *Dec) Bytes() []byte {
 	n := int(d.Uvarint())
-	if d.Bad || n < 0 || d.Off+n > len(d.B) {
+	if d.Bad || n < 0 || n > len(d.B)-d.Off {
 		d.fail()
 		return nil
 	}
@@ -221,9 +213,9 @@ type wireCodec struct {
 	dec func(*Dec) any
 }
 
-// The codec registry. Like the gob registry above it, registration
-// happens from package inits (and test setup) before any traffic flows,
-// so lookups run unlocked on the hot path.
+// The codec registry. Registration happens from package inits (and test
+// setup) before any traffic flows, so lookups run unlocked on the hot
+// path.
 var (
 	codecMu     sync.Mutex
 	codecByType = make(map[reflect.Type]wireCodec)
@@ -234,15 +226,12 @@ var (
 // concrete type under tag. Tags must be unique (16 and up for kernel
 // packages, TagTestBase and up for tests; 8–15 are this package's
 // builtins). enc receives a value of proto's exact type; dec must return
-// one. A type without a registered codec still crosses the wire via the
-// gob escape hatch, so registration is an optimization, not a liveness
-// requirement — but the hot-path types (pages, forks, barriers) all have
 // one.
 func RegisterWireCodec(proto any, tag uint16, enc func(*Enc, any), dec func(*Dec) any) {
 	if proto == nil {
 		panic("rtnode.RegisterWireCodec: nil prototype")
 	}
-	if tag == tagNil || tag == tagGob {
+	if tag == tagNil || tag == tagRetired {
 		panic(fmt.Sprintf("rtnode.RegisterWireCodec: tag %d is reserved", tag))
 	}
 	t := reflect.TypeOf(proto)
@@ -259,55 +248,39 @@ func RegisterWireCodec(proto any, tag uint16, enc func(*Enc, any), dec func(*Dec
 	codecByTag[tag] = c
 }
 
-// EncodeAny appends v's tagged encoding to e: nil, a registered binary
-// codec, or the length-prefixed gob escape hatch. It is the recursion
-// point for envelope codecs whose payload is an interface (msg's wire
-// struct).
+// EncodeAny appends v's tagged encoding to e: nil or a registered
+// binary codec. A type with no codec is a programming error (tagspace
+// reports its send sites statically) and panics, naming the type. It is
+// the recursion point for envelope codecs whose payload is an interface
+// (msg's wire struct).
 func EncodeAny(e *Enc, v any) {
 	if v == nil {
 		e.Uvarint(tagNil)
 		return
 	}
-	if c, ok := codecByType[reflect.TypeOf(v)]; ok {
-		e.Uvarint(uint64(c.tag))
-		c.enc(e, v)
-		return
+	c, ok := codecByType[reflect.TypeOf(v)]
+	if !ok {
+		noCodec(reflect.TypeOf(v))
 	}
-	e.Uvarint(tagGob)
-	encodeGob(e, v)
+	e.Uvarint(uint64(c.tag))
+	c.enc(e, v)
 }
 
-// encodeGob appends v's gob blob. It stays out of EncodeAny because gob
-// takes v's address, which would move EncodeAny's parameter to the heap
-// on every call, binary encodes included.
-func encodeGob(e *Enc, v any) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		panic(fmt.Sprintf("rtnode: encode %T: %v", v, err))
-	}
-	e.Bytes(buf.Bytes())
+// noCodec panics for an unregistered payload type. It takes the type,
+// not the value, so EncodeAny's parameter stays off the heap.
+func noCodec(t reflect.Type) {
+	panic(fmt.Sprintf("rtnode: encode %v: no binary codec registered", t))
 }
 
-// DecodeAny inverts EncodeAny.
+// DecodeAny inverts EncodeAny. An unknown tag, the retired tag 1
+// included, marks the decode Bad.
 func DecodeAny(d *Dec) any {
 	tag := d.Uvarint()
 	if d.Bad {
 		return nil
 	}
-	switch tag {
-	case tagNil:
+	if tag == tagNil {
 		return nil
-	case tagGob:
-		blob := d.Bytes()
-		if d.Bad {
-			return nil
-		}
-		var v any
-		//dflint:allow hotalloc the tag-1 escape hatch serves only types without a binary codec, none of them on the message path
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			panic(fmt.Sprintf("rtnode: decode gob payload: %v", err))
-		}
-		return v
 	}
 	c, ok := codecByTag[uint16(tag)]
 	if !ok {
@@ -343,9 +316,8 @@ var (
 )
 
 // UnmarshalPayload decodes a binary-framed payload. It panics on
-// malformed input for the same reason the gob path always has: payloads
-// only arrive from validated cluster peers, so corruption is a bug, not
-// an input.
+// malformed input: payloads only arrive from validated cluster peers,
+// so corruption is a bug, not an input.
 func UnmarshalPayload(b []byte) any {
 	if len(b) == 0 {
 		return nil
@@ -368,9 +340,9 @@ func MarshalPayload(v any) []byte {
 	return AppendPayload(nil, v)
 }
 
-// The [][]float64 builtin: the matrix shape every CG program and
-// fork/join result ships. Registered here because three app packages
-// declare it in RegisterWire and a codec must be registered exactly once.
+// The [][]float64 builtin: the matrix shape the CG programs ship.
+// Registered here because several app packages send it and a codec must
+// be registered exactly once.
 func init() {
 	RegisterWireCodec([][]float64(nil), tagF64Grid,
 		func(e *Enc, v any) {
@@ -395,12 +367,12 @@ func init() {
 			g := make([][]float64, n)
 			for i := range g {
 				m := d.Uvarint()
-				if d.Bad || m*8 > uint64(len(d.B)-d.Off) {
+				if d.Bad || m > uint64(len(d.B)-d.Off)/8 {
 					d.fail()
 					return [][]float64(nil)
 				}
 				if m == 0 {
-					continue // zero-length rows decode as nil, like gob
+					continue // zero-length rows decode as nil
 				}
 				row := make([]float64, m)
 				for j := range row {

@@ -1,9 +1,11 @@
 package rtnode_test
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"filaments/internal/rtnode"
@@ -19,16 +21,10 @@ type fuzzPayload struct {
 	N    int64
 }
 
-// fuzzEscape deliberately has no binary codec: it crosses the binary
-// framing through the tagGob escape hatch, which must keep round-tripping
-// so a codec migration can never strand a payload type.
-type fuzzEscape struct {
-	Label string
-	Vals  []float64
-}
+// fuzzNoCodec deliberately has no binary codec.
+type fuzzNoCodec struct{ Label string }
 
 func init() {
-	rtnode.RegisterWire(fuzzPayload{}, fuzzEscape{})
 	rtnode.RegisterWireCodec(fuzzPayload{}, rtnode.TagTestBase,
 		func(e *rtnode.Enc, v any) {
 			p := v.(fuzzPayload)
@@ -54,7 +50,7 @@ func init() {
 				p.Grid = make([][]float64, n)
 				for i := range p.Grid {
 					m := d.Uvarint()
-					if m*8 > uint64(d.Remaining()) {
+					if m > uint64(d.Remaining())/8 {
 						d.Fail()
 						return p
 					}
@@ -75,17 +71,14 @@ func init() {
 		})
 }
 
-// FuzzWireRoundTrip frames a payload under BOTH codecs the real-time
-// transport supports — the legacy gob framing and the binary codec — and
-// asserts each decodes to the original value, and that the two agree with
-// each other (differential check: a divergence means one codec changed
-// the payload). The seeds cover the edge shapes that have bitten gob
-// users before (zero-length payloads, empty inner rows, negative and
-// extreme scalars) and run on every plain `go test`, so CI exercises the
-// corpus without a fuzzing engine.
+// FuzzWireRoundTrip frames a payload under the binary codec, exactly as
+// the real-time transport sends it, and asserts it decodes to the
+// original value. The seeds cover the edge shapes that bite codecs
+// (zero-length payloads, empty inner rows, negative and extreme scalars)
+// and run on every plain `go test`, so CI exercises the corpus without a
+// fuzzing engine.
 //
-// One asymmetry is inherent to gob and deliberately mirrored by the
-// binary codec: neither distinguishes empty slices from nil, so the
+// The codec does not distinguish empty slices from nil, so the
 // comparison normalizes zero-length slices on both sides. Kernel code
 // must therefore never give nil-versus-empty a protocol meaning — a
 // contract this fuzz target pins down.
@@ -108,55 +101,56 @@ func FuzzWireRoundTrip(f *testing.F) {
 			grid[i] = row
 		}
 		in := fuzzPayload{Grid: grid, Raw: raw, Name: name, N: n}
-		want := normalize(in)
-
-		// Leg 1: the legacy gob framing, exactly as CodecGob sends it.
-		var buf bytes.Buffer
-		var framed any = in
-		if err := gob.NewEncoder(&buf).Encode(&framed); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		var out any
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		gobGot, ok := out.(fuzzPayload)
+		out := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
+		got, ok := out.(fuzzPayload)
 		if !ok {
-			t.Fatalf("gob round trip changed type: sent %T, got %T", in, out)
+			t.Fatalf("round trip changed type: sent %T, got %T", in, out)
 		}
-		if !reflect.DeepEqual(normalize(gobGot), want) {
-			t.Fatalf("gob round trip changed value:\n sent %#v\n got  %#v", in, gobGot)
-		}
-
-		// Leg 2: the binary codec, exactly as CodecBinary sends it.
-		bout := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-		binGot, ok := bout.(fuzzPayload)
-		if !ok {
-			t.Fatalf("binary round trip changed type: sent %T, got %T", in, bout)
-		}
-		if !reflect.DeepEqual(normalize(binGot), want) {
-			t.Fatalf("binary round trip changed value:\n sent %#v\n got  %#v", in, binGot)
-		}
-
-		// Differential: both codecs must deliver the identical struct.
-		if !reflect.DeepEqual(normalize(binGot), normalize(gobGot)) {
-			t.Fatalf("codecs disagree:\n gob    %#v\n binary %#v", gobGot, binGot)
+		if !reflect.DeepEqual(normalize(got), normalize(in)) {
+			t.Fatalf("round trip changed value:\n sent %#v\n got  %#v", in, got)
 		}
 	})
 }
 
-// TestGobEscapeHatch sends a type that has a gob registration but no
-// binary codec through the binary framing: it must travel as a
-// length-prefixed gob blob and come back intact.
-func TestGobEscapeHatch(t *testing.T) {
-	in := fuzzEscape{Label: "unregistered", Vals: []float64{1.5, -2.25, 0}}
-	out := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-	got, ok := out.(fuzzEscape)
-	if !ok {
-		t.Fatalf("escape hatch changed type: sent %T, got %T", in, out)
+// TestNoCodecPayloadRejected pins the two ends of the single wire format:
+// encoding a type with no registered codec panics and names the type,
+// and a frame under the retired tag 1 fails to decode.
+func TestNoCodecPayloadRejected(t *testing.T) {
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "fuzzNoCodec") {
+				t.Errorf("MarshalPayload of a codec-less type: panic %q does not name the type", msg)
+			}
+		}()
+		rtnode.MarshalPayload(fuzzNoCodec{Label: "x"})
+	}()
+
+	d := &rtnode.Dec{B: []byte{1, 3, 'a', 'b', 'c'}}
+	if v := rtnode.DecodeAny(d); v != nil || !d.Bad {
+		t.Errorf("tag-1 frame decoded to %#v (Bad=%v), want a failed decode", v, d.Bad)
 	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("escape hatch changed value:\n sent %#v\n got  %#v", in, got)
+}
+
+// TestDecodeHugeLengthsBad feeds length prefixes whose byte counts
+// overflow int arithmetic: the decoder must mark the input Bad, not
+// panic in a slice expression or make.
+func TestDecodeHugeLengthsBad(t *testing.T) {
+	// A [][]float64 frame (tag 8) with one row of 2^61+1 elements, then 8
+	// bytes: 8*(2^61+1) wraps to 8 in uint64.
+	grid := []byte{8, 1}
+	grid = binary.AppendUvarint(grid, 1<<61+1)
+	grid = append(grid, make([]byte, 8)...)
+	d := &rtnode.Dec{B: grid}
+	rtnode.DecodeAny(d)
+	if !d.Bad {
+		t.Error("grid row of 2^61+1 elements: decode not marked Bad")
+	}
+
+	// A byte string whose length is near MaxInt64: Off+n wraps negative.
+	d = &rtnode.Dec{B: binary.AppendUvarint(nil, math.MaxInt64-1)}
+	if b := d.Bytes(); b != nil || !d.Bad {
+		t.Errorf("byte string of length MaxInt64-1: got %d bytes (Bad=%v), want Bad", len(b), d.Bad)
 	}
 }
 
@@ -171,8 +165,8 @@ func TestNilPayloadFraming(t *testing.T) {
 	}
 }
 
-// normalize maps zero-length slices to nil at every level, since both
-// codecs erase that distinction.
+// normalize maps zero-length slices to nil at every level, since the
+// codec erases that distinction.
 func normalize(p fuzzPayload) fuzzPayload {
 	if len(p.Raw) == 0 {
 		p.Raw = nil

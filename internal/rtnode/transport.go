@@ -1,10 +1,8 @@
 package rtnode
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"net/netip"
@@ -15,45 +13,9 @@ import (
 	"filaments/internal/udptrans"
 )
 
-// Codec selects the payload wire encoding. The codec is a cluster-wide
-// setting — every node must run the same one, like the protocol itself.
-type Codec int
-
-const (
-	// CodecBinary is the hand-rolled tagged binary codec (codec.go): zero
-	// codec allocations on the page path, gob escape hatch for unregistered
-	// types. The default.
-	CodecBinary Codec = iota
-	// CodecGob is the previous release's framing, bit for bit: every
-	// payload as one raw gob stream. Kept for one release as the
-	// `-codec=gob` fallback.
-	CodecGob
-)
-
-// ParseCodec maps the CLI flag spelling to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("unknown codec %q (supported: binary, gob)", s)
-	}
-}
-
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
 // Transport implements kernel.Transport over a udptrans UDP endpoint.
-// Payloads cross the wire binary-encoded by default (codec.go), with the
-// gob framing of the previous release available via SetCodec(CodecGob);
-// the kernel layers register their wire structs (gob and binary) in their
-// init functions.
+// Payloads cross the wire binary-encoded (codec.go); the kernel layers
+// register their wire codecs in their init functions.
 //
 // Reliability division of labor: udptrans already provides retransmission
 // with capped backoff, duplicate coalescing, and reply caching — the same
@@ -63,11 +25,10 @@ func (c Codec) String() string {
 // exhaustion (the kernel contract is "retransmitted until answered",
 // matching the simulated Packet's unbounded persistence).
 type Transport struct {
-	node  *Node
-	ep    *udptrans.Endpoint
-	mux   *EventMux
-	lane  uint16
-	codec Codec
+	node *Node
+	ep   *udptrans.Endpoint
+	mux  *EventMux
+	lane uint16
 
 	// lanePrefix is uvarint(lane), prepended to every outgoing event so
 	// the receiving EventMux can route it (mux.go).
@@ -131,10 +92,6 @@ func (tr *Transport) traceEventDrop() {
 	n.Obs().Trace(int64(n.Now()), "net", "event_dropped")
 }
 
-// SetCodec selects the wire codec. Must be called before traffic flows
-// (like SetPeers), and with the same value on every node in the cluster.
-func (tr *Transport) SetCodec(c Codec) { tr.codec = c }
-
 // SetPeers installs the cluster address table: peers[i] is node i's
 // endpoint address (including this node's own).
 func (tr *Transport) SetPeers(peers []*net.UDPAddr) {
@@ -191,33 +148,6 @@ func (tr *Transport) idOf(addr *net.UDPAddr) (kernel.NodeID, bool) {
 	return id, ok
 }
 
-// encodePayload turns a kernel-layer payload into bytes under the legacy
-// gob framing. nil encodes as an empty payload (steal probes and ack-only
-// replies are nil).
-func encodePayload(v any) []byte {
-	if v == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		panic(fmt.Sprintf("rtnode: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// decodePayload inverts encodePayload.
-func decodePayload(b []byte) any {
-	if len(b) == 0 {
-		return nil
-	}
-	var v any
-	//dflint:allow hotalloc the -codec=gob fallback decodes by reflection; the default binary codec does not reach here
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		panic(fmt.Sprintf("rtnode: decode: %v", err))
-	}
-	return v
-}
-
 // payloadPool recycles encode buffers on the request/event send path. The
 // pool warms up to the largest payload the run ships (a DSM block), after
 // which sends stop allocating.
@@ -228,15 +158,11 @@ var payloadPool = sync.Pool{
 	},
 }
 
-// marshal encodes v under the transport's codec. In binary mode the bytes
-// live in a pooled buffer, returned as bp, which the caller hands to
-// putPayload once the bytes are no longer referenced (the udptrans send
-// paths copy payloads into frames synchronously, so that follows the send
-// call). bp is nil in gob mode and for a nil payload.
-func (tr *Transport) marshal(v any) (data []byte, bp *[]byte) {
-	if tr.codec == CodecGob {
-		return encodePayload(v), nil
-	}
+// marshal encodes v into a pooled buffer, returned as bp, which the
+// caller hands to putPayload once the bytes are no longer referenced (the
+// udptrans send paths copy payloads into frames synchronously, so that
+// follows the send call). bp is nil for a nil payload.
+func marshal(v any) (data []byte, bp *[]byte) {
 	if v == nil {
 		return nil, nil
 	}
@@ -251,26 +177,6 @@ func putPayload(bp *[]byte) {
 		*bp = (*bp)[:0]
 		payloadPool.Put(bp)
 	}
-}
-
-// marshalOwned encodes v into a buffer the receiver may retain (service
-// replies outlive the handler inside udptrans — they are copied into the
-// reply frame and the reply cache after the handler returns).
-func (tr *Transport) marshalOwned(v any) []byte {
-	if tr.codec == CodecGob {
-		return encodePayload(v)
-	}
-	return AppendPayload(nil, v)
-}
-
-// unmarshal decodes a payload under the transport's codec. In binary mode
-// the decoded value may alias b — the kernel contract that receivers copy
-// data they retain makes that safe while b's buffer lives.
-func (tr *Transport) unmarshal(b []byte) any {
-	if tr.codec == CodecGob {
-		return decodePayload(b)
-	}
-	return UnmarshalPayload(b)
 }
 
 // Register installs a kernel service on the UDP endpoint. The wrapped
@@ -291,7 +197,7 @@ func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
 			// The decoded payload may alias req's receive buffer; the
 			// buffer stays alive until this handler returns, and the
 			// handler runs to completion under the node monitor.
-			payload := tr.unmarshal(req)
+			payload := UnmarshalPayload(req)
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			if n.closed {
@@ -303,7 +209,10 @@ func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
 				return nil, true
 			}
 			n.acct[s.Category] += n.model.SendCost(size)
-			return tr.marshalOwned(reply), false
+			// The reply outlives the handler inside udptrans (it is copied
+			// into the reply frame and the reply cache after the handler
+			// returns), so it gets its own buffer.
+			return AppendPayload(nil, reply), false
 		},
 	})
 }
@@ -331,7 +240,7 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
 	tr.outstanding++
-	data, bp := tr.marshal(req)
+	data, bp := marshal(req)
 	addr := tr.peers[dst]
 	wid := tr.wireSvc(svc)
 	n.mu.Unlock()
@@ -345,7 +254,7 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	n.acct[cat] += n.model.RecvCost(len(reply))
 	// CallContext returned an owned copy of the reply, so the decoded
 	// value (which may alias it) is safe for the calling thread to keep.
-	return tr.unmarshal(reply)
+	return UnmarshalPayload(reply)
 }
 
 // handle tracks one asynchronous request: the endpoint call it waits on
@@ -387,7 +296,7 @@ func (h *handle) Done() bool { return h.done }
 func (tr *Transport) RequestAsync(dst kernel.NodeID, svc kernel.ServiceID, req any, size int, cat kernel.Category, cb func(reply any)) kernel.Handle {
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
-	data, bp := tr.marshal(req)
+	data, bp := marshal(req)
 	id, err := tr.ep.Start(tr.peers[dst], tr.wireSvc(svc), data)
 	putPayload(bp) // Start framed a copy
 	h := &handle{tr: tr, id: id, cat: cat, cb: cb}
@@ -420,7 +329,7 @@ func (h *handle) await() {
 		h.done = true
 		if err == nil {
 			n.acct[h.cat] += n.model.RecvCost(len(reply))
-			h.cb(tr.unmarshal(reply))
+			h.cb(UnmarshalPayload(reply))
 		}
 	}
 	n.mu.Unlock()
@@ -436,13 +345,8 @@ func (tr *Transport) RequestSized(dst kernel.NodeID, svc kernel.ServiceID, req a
 // marshalEvent encodes an event payload behind the lane prefix, so the
 // receiving mux can route it. Unlike marshal, a nil payload still yields
 // bytes (the bare prefix — the remainder decodes back to nil). The buffer
-// contract matches marshal: bp is nil in gob mode, pooled otherwise.
+// contract matches marshal.
 func (tr *Transport) marshalEvent(v any) (data []byte, bp *[]byte) {
-	if tr.codec == CodecGob {
-		body := encodePayload(v)
-		buf := make([]byte, 0, len(tr.lanePrefix)+len(body))
-		return append(append(buf, tr.lanePrefix...), body...), nil
-	}
 	bp = payloadPool.Get().(*[]byte)
 	*bp = AppendPayload(append((*bp)[:0], tr.lanePrefix...), v)
 	return *bp, bp
@@ -488,7 +392,7 @@ func (tr *Transport) handleEvent(from *net.UDPAddr, b []byte) {
 	// The decoded payload may alias b's pooled receive buffer, which the
 	// endpoint keeps alive until this handler returns; the raw chain runs
 	// to completion inside it.
-	payload := tr.unmarshal(b)
+	payload := UnmarshalPayload(b)
 	n := tr.node
 	n.mu.Lock()
 	defer n.mu.Unlock()

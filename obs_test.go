@@ -47,11 +47,12 @@ func pingPongProgram(m filaments.Matrix, rounds int) filaments.Program {
 // are legal from any goroutine.
 func TestStatsDuringUDPRun(t *testing.T) {
 	const nodes = 3
-	c, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: nodes})
+	c := startCluster(t, nodes)
+	run, err := c.StartRun(filaments.UDPRunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := c.AllocMatrixStriped(3*512, 4) // one page per row-group, striped
+	m := run.AllocMatrixStriped(3*512, 4) // one page per row-group, striped
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -64,13 +65,14 @@ func TestStatsDuringUDPRun(t *testing.T) {
 			default:
 			}
 			for i := 0; i < nodes; i++ {
-				_ = c.DSM(i).Stats()
-				_ = c.Runtime(i).Stats()
+				_ = run.DSM(i).Stats()
+				_ = run.Runtime(i).Stats()
 			}
 			_ = c.Metrics()
+			_ = run.Metrics()
 		}
 	}()
-	rep, err := c.Run(pingPongProgram(m, 4))
+	rep, err := run.Run(pingPongProgram(m, 4))
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -23,54 +23,24 @@ import (
 // hosts every node in one process (endpoints on loopback); UDPNode hosts
 // one node of a multi-process cluster (see cmd/dfnode).
 //
-// The cluster's lifecycle is split in two since the service layer
-// (internal/cluster/daemon) arrived: a UDPCluster is built once — its
-// endpoints, sockets, and peers' reply caches live for the daemon's
-// lifetime — and then hosts many UDPRuns, each a complete kernel stack
-// (address space, nodes, DSMs, reducers, runtimes) on its own service-id
-// lane (rtnode/mux.go), so several jobs can run concurrently over the
-// same sockets. The single-program form (NewUDPCluster → Alloc → Run)
-// still works: it is a cluster with one default run that closes the
-// endpoints when the run completes.
+// A UDPCluster is built once — its endpoints, sockets, and peers' reply
+// caches live until Close — and hosts many UDPRuns, each a complete
+// kernel stack (address space, nodes, DSMs, reducers, runtimes) on its
+// own service-id lane (rtnode/mux.go), so several jobs can run
+// concurrently over the same sockets. Every program runs the same way:
+// NewUDPCluster, then StartRun, allocate on the run, Run, Peek the
+// results, and Close the cluster when no more runs will start.
 //
 // Results are exact — the identical kernel code moves the data — but time
 // is wall time, so performance depends on the host, not on the paper's
 // calibrated cost model.
 
-// UDPConfig describes a single-process UDP cluster. The per-run fields
-// (Protocol, SharedBytes, Stealing, MaxWorkers, WakeFront, Model,
-// Tracer, Monitor, MirageWindow) seed the default run for the
-// single-program form; StartRun takes its own UDPRunConfig.
+// UDPConfig describes a single-process UDP cluster. Per-run settings
+// (protocol, tracing, and the rest) go in each StartRun's UDPRunConfig.
 type UDPConfig struct {
 	// Nodes is the cluster size (>= 1). Each node gets its own UDP
 	// endpoint on 127.0.0.1.
 	Nodes int
-	// Protocol is the page consistency protocol (default Migratory).
-	Protocol Protocol
-	// SharedBytes is the size of the shared address space (default 64 MB).
-	SharedBytes int64
-	// Stealing enables receiver-initiated fork/join load balancing.
-	Stealing bool
-	// MaxWorkers caps per-node fork/join server threads (default 16).
-	MaxWorkers int
-	// WakeFront schedules page-arrival wakeups at the front (fork/join
-	// setting); it is advisory here — the Go scheduler owns ordering.
-	WakeFront bool
-	// Model overrides the cost model used for ledger accounting; nil uses
-	// cost.Default.
-	Model *CostModel
-	// Tracer, when non-nil, records kernel events from every node in wall
-	// time.
-	Tracer *Tracer
-	// Monitor, when non-nil, observes every node's DSM accesses, page
-	// transfers, and synchronization events. Under this binding callbacks
-	// arrive concurrently from per-node monitor goroutines, so the Monitor
-	// must synchronize internally.
-	Monitor Monitor
-	// MirageWindow overrides the cost model's Mirage anti-thrashing
-	// window: 0 keeps the model's default, a negative value disables the
-	// window, and a positive value replaces it.
-	MirageWindow Duration
 	// Tuning collects the wall-clock wire-path knobs.
 	Tuning UDPTuning
 }
@@ -78,10 +48,6 @@ type UDPConfig struct {
 // UDPTuning tunes the real-time wire path. Every knob is cluster-wide:
 // all nodes must run the same values, like the protocol choice.
 type UDPTuning struct {
-	// Codec selects the payload encoding: "" or "binary" for the
-	// hand-rolled zero-allocation codec, "gob" for the previous release's
-	// framing (kept for one release as a fallback).
-	Codec string
 	// NoDiffs disables twin-and-diff page shipping, which is on by
 	// default under UDP (the simulation keeps whole pages either way, so
 	// its byte accounting matches the paper's tables).
@@ -93,8 +59,7 @@ type UDPTuning struct {
 	BatchWindow time.Duration
 }
 
-// UDPRunConfig describes one program run on a live UDPCluster. Zero
-// values take the same defaults as UDPConfig.
+// UDPRunConfig describes one program run on a live UDPCluster.
 type UDPRunConfig struct {
 	// Protocol is the page consistency protocol (default Migratory).
 	Protocol Protocol
@@ -105,16 +70,22 @@ type UDPRunConfig struct {
 	Stealing bool
 	// MaxWorkers caps per-node fork/join server threads (default 16).
 	MaxWorkers int
-	// WakeFront is advisory under real time (see UDPConfig.WakeFront).
+	// WakeFront schedules page-arrival wakeups at the front (fork/join
+	// setting); it is advisory here — the Go scheduler owns ordering.
 	WakeFront bool
 	// Model overrides the ledger cost model; nil uses cost.Default.
 	Model *CostModel
-	// Tracer, when non-nil, records this run's kernel events.
+	// Tracer, when non-nil, records this run's kernel events in wall
+	// time.
 	Tracer *Tracer
-	// Monitor, when non-nil, observes this run's DSM (see
-	// UDPConfig.Monitor).
+	// Monitor, when non-nil, observes this run's DSM accesses, page
+	// transfers, and synchronization events. Under this binding callbacks
+	// arrive concurrently from per-node monitor goroutines, so the Monitor
+	// must synchronize internally.
 	Monitor Monitor
-	// MirageWindow overrides the Mirage window (see UDPConfig).
+	// MirageWindow overrides the cost model's Mirage anti-thrashing
+	// window: 0 keeps the model's default, a negative value disables the
+	// window, and a positive value replaces it.
 	MirageWindow Duration
 }
 
@@ -144,14 +115,11 @@ type UDPReport struct {
 }
 
 // UDPCluster is a set of live UDP endpoints on loopback hosting DF
-// program runs. Create with NewUDPCluster; then either use the
-// single-program form (Alloc/Run/Peek on the cluster itself, which
-// closes the cluster when the run finishes) or the service form
-// (StartRun per job, many runs concurrently, Close when the daemon
-// exits).
+// program runs. Create with NewUDPCluster, start each program with
+// StartRun (many runs may execute concurrently), and Close when no more
+// runs will start.
 type UDPCluster struct {
 	cfg   UDPConfig
-	codec rtnode.Codec
 	eps   []*udptrans.Endpoint
 	addrs []*net.UDPAddr
 	muxes []*rtnode.EventMux
@@ -161,13 +129,6 @@ type UDPCluster struct {
 	freed    []uint16
 	active   []*UDPRun
 	closed   bool
-
-	// The single-program form's default run, built on first use so a
-	// service cluster (StartRun per job) never pays for it.
-	defOnce sync.Once
-	def     *UDPRun
-	defErr  error
-	ran     bool
 }
 
 // rtOptions configures the real-time binding's endpoints with an
@@ -182,17 +143,12 @@ func rtOptions(t UDPTuning) udptrans.Options {
 }
 
 // NewUDPCluster builds a cluster from cfg, opening one UDP endpoint per
-// node on 127.0.0.1 and seeding the default run from cfg's per-run
-// fields.
+// node on 127.0.0.1.
 func NewUDPCluster(cfg UDPConfig) (*UDPCluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("filaments: UDPConfig.Nodes must be >= 1")
 	}
-	codec, err := rtnode.ParseCodec(cfg.Tuning.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("filaments: %w", err)
-	}
-	c := &UDPCluster{cfg: cfg, codec: codec}
+	c := &UDPCluster{cfg: cfg}
 	c.eps = make([]*udptrans.Endpoint, cfg.Nodes)
 	c.addrs = make([]*net.UDPAddr, cfg.Nodes)
 	c.muxes = make([]*rtnode.EventMux, cfg.Nodes)
@@ -209,31 +165,6 @@ func NewUDPCluster(cfg UDPConfig) (*UDPCluster, error) {
 		c.muxes[i] = rtnode.NewEventMux(ep)
 	}
 	return c, nil
-}
-
-// defaultRun builds (once) and returns the default run the
-// single-program API delegates to, seeded from UDPConfig's per-run
-// fields. A fresh cluster always has a lane free, so failure here means
-// the cluster was already closed — a misuse, reported as a panic like
-// any other use-after-close.
-func (c *UDPCluster) defaultRun() *UDPRun {
-	c.defOnce.Do(func() {
-		c.def, c.defErr = c.StartRun(UDPRunConfig{
-			Protocol:     c.cfg.Protocol,
-			SharedBytes:  c.cfg.SharedBytes,
-			Stealing:     c.cfg.Stealing,
-			MaxWorkers:   c.cfg.MaxWorkers,
-			WakeFront:    c.cfg.WakeFront,
-			Model:        c.cfg.Model,
-			Tracer:       c.cfg.Tracer,
-			Monitor:      c.cfg.Monitor,
-			MirageWindow: c.cfg.MirageWindow,
-		})
-	})
-	if c.defErr != nil {
-		panic(fmt.Sprintf("filaments: default run on closed cluster: %v", c.defErr))
-	}
-	return c.def
 }
 
 // Nodes returns the cluster size.
@@ -330,7 +261,6 @@ func (c *UDPCluster) StartRun(rc UDPRunConfig) (*UDPRun, error) {
 			node.Obs().SetTracer(rc.Tracer)
 		}
 		tr := rtnode.NewTransportOn(c.muxes[i], node, lane)
-		tr.SetCodec(c.codec)
 		tr.SetPeers(c.addrs)
 		d := dsm.New(node, tr, r.space, rc.Protocol)
 		d.SetDiffs(!c.cfg.Tuning.NoDiffs)
@@ -368,22 +298,11 @@ func (c *UDPCluster) Metrics() []Sample {
 			regs = append(regs, n.Obs().Reg)
 		}
 	}
-	if c.def != nil {
-		// The default run leaves active when it finishes, but the
-		// single-program form reads Metrics after Run; keep its node
-		// counters visible.
-		if done := c.def.finished(); done {
-			for _, n := range c.def.nodes {
-				regs = append(regs, n.Obs().Reg)
-			}
-		}
-	}
 	return obs.Aggregate(regs...)
 }
 
 // Close shuts the cluster's endpoints down. Calls still in flight on
-// active runs fail over to their shutdown paths; the single-program form
-// calls this implicitly at the end of Run.
+// active runs fail over to their shutdown paths.
 func (c *UDPCluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -400,64 +319,6 @@ func (c *UDPCluster) Close() error {
 	}
 	return first
 }
-
-// The single-program face: every method delegates to the default run,
-// preserving the original one-cluster-one-run API.
-
-// Runtime returns node i's runtime (for inspecting stats after Run).
-func (c *UDPCluster) Runtime(i int) *Runtime { return c.defaultRun().Runtime(i) }
-
-// Outstanding sums the requests still awaiting replies across every
-// node's endpoint. After Run returns it must be zero: a nonzero value
-// means a protocol layer leaked an in-flight request past its barrier.
-func (c *UDPCluster) Outstanding() int { return c.defaultRun().Outstanding() }
-
-// DSM returns node i's DSM instance (for inspecting stats after Run).
-func (c *UDPCluster) DSM(i int) *dsm.DSM { return c.defaultRun().DSM(i) }
-
-// EnableTracing installs t as every node's trace sink. Equivalent to
-// setting UDPConfig.Tracer before NewUDPCluster.
-func (c *UDPCluster) EnableTracing(t *Tracer) { c.defaultRun().EnableTracing(t) }
-
-// Alloc reserves shared memory owned initially by node 0.
-func (c *UDPCluster) Alloc(size int64) Addr { return c.defaultRun().Alloc(size) }
-
-// AllocOwned reserves shared memory owned initially by the given node.
-func (c *UDPCluster) AllocOwned(size int64, owner int) Addr {
-	return c.defaultRun().AllocOwned(size, owner)
-}
-
-// AllocMatrixOwned allocates a shared matrix initially owned by one node.
-func (c *UDPCluster) AllocMatrixOwned(rows, cols, owner int) Matrix {
-	return c.defaultRun().AllocMatrixOwned(rows, cols, owner)
-}
-
-// AllocMatrixStriped allocates a matrix owned in one horizontal strip per
-// node.
-func (c *UDPCluster) AllocMatrixStriped(rows, cols int) Matrix {
-	return c.defaultRun().AllocMatrixStriped(rows, cols)
-}
-
-// Run executes program on the default run and closes the cluster — the
-// single-program form. It may be called once per UDPCluster.
-func (c *UDPCluster) Run(program Program) (*UDPReport, error) {
-	if c.ran {
-		return nil, fmt.Errorf("filaments: UDP cluster already ran")
-	}
-	c.ran = true
-	rep, err := c.defaultRun().Run(program)
-	if cerr := c.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	return rep, err
-}
-
-// PeekF64 reads a shared float64 from whichever node owns it, for result
-// verification after Run.
-func (c *UDPCluster) PeekF64(a Addr) float64 { return c.defaultRun().PeekF64(a) }
-
-// PeekMatrix copies a shared matrix out of the cluster after Run.
-func (c *UDPCluster) PeekMatrix(m Matrix) [][]float64 { return c.defaultRun().PeekMatrix(m) }
 
 // UDPRun is one program run on a live UDPCluster: a complete kernel
 // stack on its own service-id lane. Allocate shared data, call Run once,
@@ -476,9 +337,8 @@ type UDPRun struct {
 
 	netBase []Sample // endpoint counters at StartRun, for the run delta
 
-	mu   sync.Mutex
-	ran  bool
-	done bool
+	mu  sync.Mutex
+	ran bool
 }
 
 // Lane returns the run's service-id lane (diagnostics).
@@ -509,12 +369,6 @@ func (r *UDPRun) Outstanding() int {
 		n += rt.Endpoint().Outstanding()
 	}
 	return n
-}
-
-func (r *UDPRun) finished() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
 }
 
 // Metrics aggregates the run's node counters plus the endpoints'
@@ -600,9 +454,6 @@ func (r *UDPRun) Run(program Program) (*UDPReport, error) {
 		}
 	}
 	rep.Metrics = r.Metrics()
-	r.mu.Lock()
-	r.done = true
-	r.mu.Unlock()
 	r.c.finishRun(r)
 	if leaked != 0 {
 		return rep, fmt.Errorf("filaments: %d requests still outstanding after run", leaked)
@@ -656,7 +507,7 @@ type UDPNodeConfig struct {
 	Stealing bool
 	// MaxWorkers caps per-node fork/join server threads (default 16).
 	MaxWorkers int
-	// WakeFront is advisory under real time (see UDPConfig.WakeFront).
+	// WakeFront is advisory under real time (see UDPRunConfig.WakeFront).
 	WakeFront bool
 	// Linger is how long the node keeps servicing requests after its own
 	// main finishes, so slower peers' retransmissions still get answered
@@ -720,10 +571,6 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 		}
 		addrs[i] = a
 	}
-	codec, err := rtnode.ParseCodec(cfg.Tuning.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("filaments: %w", err)
-	}
 	ep, err := udptrans.Listen(cfg.Peers[cfg.ID], rtOptions(cfg.Tuning))
 	if err != nil {
 		return nil, err
@@ -731,7 +578,6 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 	u.space = dsm.NewSpace(cfg.SharedBytes)
 	u.node = rtnode.NewNode(kernel.NodeID(cfg.ID), &u.model)
 	u.tr = rtnode.NewTransport(u.node, ep)
-	u.tr.SetCodec(codec)
 	u.tr.SetPeers(addrs)
 	u.d = dsm.New(u.node, u.tr, u.space, cfg.Protocol)
 	u.d.SetDiffs(!cfg.Tuning.NoDiffs)

@@ -98,19 +98,19 @@ func TestRedirectChaseSim(t *testing.T) {
 // TestRedirectChaseUDP drives the identical program through the real-time
 // binding: the redirect crosses real UDP sockets.
 func TestRedirectChaseUDP(t *testing.T) {
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: 3, Protocol: filaments.Migratory})
+	run, err := startCluster(t, 3).StartRun(filaments.UDPRunConfig{Protocol: filaments.Migratory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := cl.AllocOwned(8, 0)
+	a := run.AllocOwned(8, 0)
 	var got float64
-	if _, err := cl.Run(redirectProgram(a, &got)); err != nil {
+	if _, err := run.Run(redirectProgram(a, &got)); err != nil {
 		t.Fatal(err)
 	}
 	if got != 42 {
 		t.Fatalf("node 2 read %v, want 42", got)
 	}
-	if cl.DSM(2).Stats().Redirected == 0 {
+	if run.DSM(2).Stats().Redirected == 0 {
 		t.Fatal("node 2 never chased a redirect")
 	}
 }
@@ -118,13 +118,13 @@ func TestRedirectChaseUDP(t *testing.T) {
 // TestUDPClusterBarrierAndDSM is a minimal cross-binding sanity check:
 // writes on one node become visible on another after a barrier.
 func TestUDPClusterBarrierAndDSM(t *testing.T) {
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: 2})
+	run, err := startCluster(t, 2).StartRun(filaments.UDPRunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := cl.AllocOwned(8, 0)
+	a := run.AllocOwned(8, 0)
 	var got float64
-	_, err = cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+	_, err = run.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
 		if rt.ID() == 0 {
 			e.WriteF64(a, 42)
 		}
